@@ -1,24 +1,32 @@
 // SPDX-License-Identifier: MIT
 //
-// Chaos-soak harness: runs hundreds of seeded episodes composing scripted
-// faults (crash/omission/corruption/transient) with stragglers, lossy links,
-// hedging/adaptive timeouts, and Byzantine adversary mixes, and checks six
-// invariants after every episode (decode, cumulative ITS, ledger
-// consistency, liveness, single-round masking, liar quarantine). Failing
-// episodes are dumped with their seed + schedule for one-command repro via
-// --replay. A paired A/B mode (--ab-trials) measures what hedging buys under
-// kExponentialSlowdown stragglers: p50/p99 completion with hedging on vs
-// off on the SAME straggler draws, plus hedge rate and extra-cost overhead.
-// A second A/B (--byz-trials) runs the same two always-lying devices against
-// byzantine_tolerance t in {0, 1, 2} and records rounds-to-completion,
-// masked fraction, and the Eq. (1) guard-cost overhead vs t (--byz-out).
-// --overload-episodes drives the serving-tier overload soak
-// (sim/overload_chaos.h): seeded tenant-flood / flash-crowd / fleet-brownout
-// / retry-storm episodes against the coordinator's protection stack, with
-// decode, shed-accounting, no-metastability, and liveness invariants and
-// one-command repro via --overload-replay (sabotage: tamper-result |
-// drop-completion).
+// Chaos-soak front end: one seed → scenario → run → invariant set → repro
+// path (sim/episode.h) over four harnesses, picked with --harness:
+//
+//   protocol  scripted faults (crash/omission/corruption/transient) with
+//             stragglers, lossy links, hedging/adaptive timeouts and
+//             Byzantine adversary mixes (sim/chaos.h);
+//   crash     the same scenarios through the durable coordinator, killed
+//             at a seeded crash point and restarted from its sealed
+//             snapshot + journal (sim/chaos.h);
+//   overload  tenant-flood / flash-crowd / fleet-brownout / retry-storm
+//             episodes against the serving tier's protection stack
+//             (sim/overload_chaos.h);
+//   net       live loopback clusters of scecd daemons behind chaos proxies
+//             (net/net_chaos.h).
+//
+// Failing episodes are dumped with their schedule and a one-command repro
+// (--replay); --sabotage breaks one invariant of a replayed episode and
+// expects it caught. A paired A/B mode (--ab-trials) measures what hedging
+// buys under kExponentialSlowdown stragglers: p50/p99 completion with
+// hedging on vs off on the SAME straggler draws, plus hedge rate and
+// extra-cost overhead. A second A/B (--byz-trials) runs the same two
+// always-lying devices against byzantine_tolerance t in {0, 1, 2} and
+// records rounds-to-completion, masked fraction, and the Eq. (1) guard-cost
+// overhead vs t (--byz-out). --crash-trials measures the journal's overhead
+// and restart time.
 
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -33,8 +41,10 @@
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "linalg/matrix_ops.h"
+#include "net/net_chaos.h"
 #include "recovery/coordinator.h"
 #include "sim/chaos.h"
+#include "sim/episode.h"
 #include "sim/fault_tolerant_protocol.h"
 #include "sim/metrics.h"
 #include "sim/overload_chaos.h"
@@ -43,10 +53,10 @@
 
 namespace {
 
-using scec::sim::ChaosConfig;
 using scec::sim::ChaosEpisode;
-using scec::sim::ChaosSabotage;
-using scec::sim::ChaosSoakSummary;
+using scec::sim::FaultRecoveryMetrics;
+using scec::sim::Sabotage;
+using scec::sim::SoakSummary;
 
 bool WriteFile(const std::string& path, const std::string& body) {
   if (path.empty()) return true;
@@ -70,72 +80,109 @@ std::string EpisodeJson(const ChaosEpisode& episode) {
          ",\"recovery\":" + scec::sim::ToJson(episode.recovery) + "}\n";
 }
 
-// Replays one episode (optionally sabotaged) and prints its verdicts —
-// through the durable kill/restart coordinator when `crash` is set. In
-// sabotage mode success means the harness CAUGHT the deliberate violation.
-int Replay(const ChaosConfig& config, size_t index, ChaosSabotage sabotage,
-           bool crash) {
-  const ChaosEpisode episode =
-      crash ? scec::sim::RunCrashEpisode(config, index, sabotage)
-            : scec::sim::RunChaosEpisode(config, index, sabotage);
-  std::cout << scec::sim::DescribeSchedule(episode);
-  std::cout << "  outcome=" << episode.outcome
-            << " decode=" << (episode.invariants.decode ? "ok" : "FAIL")
-            << " security=" << (episode.invariants.security ? "ok" : "FAIL")
-            << " ledger=" << (episode.invariants.ledger ? "ok" : "FAIL")
-            << " liveness=" << (episode.invariants.liveness ? "ok" : "FAIL")
-            << " masking=" << (episode.invariants.masking ? "ok" : "FAIL")
-            << " quarantine="
-            << (episode.invariants.quarantine ? "ok" : "FAIL");
-  if (crash) {
-    std::cout << " restart_decode="
-              << (episode.invariants.restart_decode ? "ok" : "FAIL")
-              << " restart_security="
-              << (episode.invariants.restart_security ? "ok" : "FAIL")
-              << " restart_ledger="
-              << (episode.invariants.restart_ledger ? "ok" : "FAIL");
+// Prints one row of counters per key, in key order.
+template <size_t N>
+void PrintCounts(std::vector<std::string> header,
+                 const std::map<std::string, std::array<uint64_t, N>>& rows) {
+  scec::TablePrinter table(std::move(header));
+  for (const auto& [key, counts] : rows) {
+    std::vector<std::string> cells = {key};
+    for (uint64_t count : counts) cells.push_back(std::to_string(count));
+    table.AddRow(std::move(cells));
   }
-  std::cout << "\n";
-  if (!episode.failure.empty()) {
-    std::cout << "  failure: " << episode.failure << "\n";
-  }
-  std::cout << "  repro: " << scec::sim::ReproCommand(config, episode)
-            << "\n";
-  if (sabotage != ChaosSabotage::kNone) {
-    const bool caught = !episode.ok();
-    return scec::CheckLine(
-        caught, std::string("deliberately broken invariant ") +
-                    (caught ? "was caught" : "SLIPPED THROUGH"));
-  }
-  return episode.ok() ? 0 : 1;
+  table.Print(std::cout);
 }
 
-// Replays one overload episode (optionally sabotaged) and prints its
-// verdicts. In sabotage mode success means the harness CAUGHT the violation.
-int ReplayOverload(const scec::sim::OverloadConfig& config, size_t index,
-                   scec::sim::OverloadSabotage sabotage) {
-  const scec::sim::OverloadEpisode episode =
-      scec::sim::RunOverloadEpisode(config, index, sabotage);
-  std::cout << scec::sim::DescribeOverloadEpisode(episode);
-  std::cout << "  decode=" << (episode.invariants.decode ? "ok" : "FAIL")
-            << " shed_accounting="
-            << (episode.invariants.shed_accounting ? "ok" : "FAIL")
-            << " no_metastability="
-            << (episode.invariants.no_metastability ? "ok" : "FAIL")
-            << " liveness=" << (episode.invariants.liveness ? "ok" : "FAIL")
-            << "\n";
-  if (!episode.failure.empty()) {
-    std::cout << "  failure: " << episode.failure << "\n";
+// Per-mix table of a protocol or crash soak, plus the crash-point table
+// when the episodes were crash-injected.
+void Tabulate(const SoakSummary<ChaosEpisode>& summary) {
+  std::map<std::string, std::array<uint64_t, 7>> mixes;
+  std::map<std::string, std::array<uint64_t, 3>> points;
+  uint64_t resumed = 0;
+  uint64_t journal_bytes = 0;
+  for (const ChaosEpisode& e : summary.detail) {
+    const FaultRecoveryMetrics& rec = e.recovery;
+    const std::array<uint64_t, 7> mix = {
+        1, e.ok(), e.outcome == "decoded", rec.TotalEvictions(),
+        rec.recovery_rounds, rec.hedges_dispatched, rec.hedges_won};
+    for (size_t i = 0; i < mix.size(); ++i) mixes[e.mix][i] += mix[i];
+    if (e.crash.point == scec::recovery::CrashPoint::kNone) continue;
+    auto& point = points[scec::recovery::CrashPointName(e.crash.point)];
+    point[0] += 1;
+    point[1] += e.crash_fired;
+    point[2] += e.ok();
+    resumed += rec.resumed_responses;
+    journal_bytes += e.journal_bytes;
   }
-  std::cout << "  repro: "
-            << scec::sim::OverloadReproCommand(config, episode) << "\n";
-  if (sabotage != scec::sim::OverloadSabotage::kNone) {
+  PrintCounts({"mix", "episodes", "passed", "decoded", "evictions",
+               "rec rounds", "hedges", "hedge wins"},
+              mixes);
+  std::cout << "  decoded=" << summary.Count("decoded")
+            << " infeasible=" << summary.Count("infeasible")
+            << " internal=" << summary.Count("internal") << "\n";
+  if (points.empty()) return;
+  PrintCounts({"crash point", "episodes", "fired", "passed"}, points);
+  std::cout << "  resumed_responses=" << resumed << " avg_journal_bytes="
+            << journal_bytes / summary.episodes() << "\n";
+}
+
+void Tabulate(const SoakSummary<scec::sim::OverloadEpisode>& summary) {
+  std::map<std::string, std::array<uint64_t, 6>> mixes;
+  for (const scec::sim::OverloadEpisode& e : summary.detail) {
+    const std::array<uint64_t, 6> mix = {
+        1, e.ok(), e.rejected, e.shed, e.ladder_transitions, e.breaker_opens};
+    for (size_t i = 0; i < mix.size(); ++i) mixes[e.mix][i] += mix[i];
+  }
+  PrintCounts({"overload mix", "episodes", "passed", "rejected", "shed",
+               "ladder moves", "breaker opens"},
+              mixes);
+}
+
+// Socket episodes are few and slow: list each with its verdicts.
+void Tabulate(const SoakSummary<scec::net::NetChaosEpisode>& summary) {
+  for (const scec::net::NetChaosEpisode& episode : summary.detail) {
+    std::cout << Describe(episode) << "  " << episode.invariants.Verdicts()
+              << "\n";
+  }
+}
+
+// Runs one harness: a sabotage/verdict replay of episode `replay` when
+// replay >= 0, else a soak of config.episodes (0 = skip, for A/B-only
+// runs). Failing soak episodes are reported on stderr and appended to
+// *fail_report; the soak's episodes are moved into *detail when given.
+template <typename Config, typename Episode>
+int RunHarness(const std::string& harness, const Config& config,
+               Episode (*run_one)(const Config&, size_t, Sabotage),
+               int64_t replay, Sabotage sabotage, size_t queries,
+               std::string* fail_report,
+               std::vector<Episode>* detail = nullptr) {
+  if (replay >= 0) {
+    const Episode episode =
+        run_one(config, static_cast<size_t>(replay), sabotage);
+    std::cout << scec::sim::EpisodeReport(episode, harness, config.seed,
+                                          queries);
+    if (sabotage == Sabotage::kNone) return episode.ok() ? 0 : 1;
     const bool caught = !episode.ok();
     return scec::CheckLine(
-        caught, std::string("deliberately broken overload invariant ") +
+        caught, "deliberately broken " + harness + " invariant " +
                     (caught ? "was caught" : "SLIPPED THROUGH"));
   }
-  return episode.ok() ? 0 : 1;
+  if (config.episodes == 0) return 0;
+  SoakSummary<Episode> summary = scec::sim::RunSoak(config, run_one);
+  Tabulate(summary);
+  std::cout << "  " << harness << " soak: episodes=" << summary.episodes()
+            << " passed=" << summary.passed()
+            << " failing=" << summary.failing.size() << "\n";
+  for (size_t index : summary.failing) {
+    *fail_report += scec::sim::EpisodeReport(summary.detail[index], harness,
+                                             config.seed, queries) +
+                    "\n";
+  }
+  std::cerr << *fail_report;
+  const int rc = scec::CheckLine(
+      summary.ok(), "every " + harness + " episode holds its invariants");
+  if (detail != nullptr) *detail = std::move(summary.detail);
+  return rc;
 }
 
 struct AbResult {
@@ -475,12 +522,11 @@ std::string ByzArmJson(const ByzArm& arm) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int64_t episodes = 200;
+  std::string harness = "protocol";
+  int64_t episodes = -1;
   int64_t seed = 1;
-  int64_t queries = 2;
+  int64_t queries = 0;
   int64_t replay = -1;
-  int64_t crash_episodes = 0;
-  int64_t crash_replay = -1;
   int64_t crash_trials = 0;
   std::string crash_artifacts_dir;
   std::string crash_out;
@@ -489,40 +535,35 @@ int main(int argc, char** argv) {
   int64_t byz_trials = 0;
   int64_t byz_queries = 2;
   std::string byz_out;
-  int64_t overload_episodes = 0;
-  int64_t overload_replay = -1;
   std::string sabotage_name;
   std::string fail_out;
   std::string metrics_csv;
   std::string metrics_json;
   scec::bench::TelemetryFlags telemetry;
   scec::CliParser cli("chaos_soak",
-                      "seeded chaos soak over the fault-tolerant SCEC "
-                      "runtime (composed faults x stragglers x lossy links "
-                      "x hedging x byzantine devices x kill/restart crash "
-                      "recovery), with invariant checks per episode; "
-                      "--crash-* flags drive the durable-coordinator soak, "
-                      "--byz-* the byzantine A/B arms, and "
-                      "--overload-* the serving-tier overload soak");
-  cli.AddInt("episodes", &episodes, "episodes to run");
+                      "seeded chaos soaks with invariant checks per episode "
+                      "(--harness=protocol|crash|overload|net), plus the "
+                      "--ab-* hedging, --byz-* byzantine and --crash-trials "
+                      "journal A/B arms");
+  cli.AddString("harness", &harness,
+                "protocol | crash | overload | net");
+  cli.AddInt("episodes", &episodes,
+             "episodes to run (-1 = the harness default, 0 = skip the soak)");
   cli.AddInt("seed", &seed, "master seed (episode i derives from (seed, i))");
-  cli.AddInt("queries", &queries, "queries per episode");
+  cli.AddInt("queries", &queries,
+             "queries per episode (0 = the harness default; not overload)");
   cli.AddInt("replay", &replay,
-             "replay just this episode index and print its schedule");
+             "replay just this episode index and print its schedule and "
+             "verdicts");
   cli.AddString("sabotage", &sabotage_name,
                 "with --replay: deliberately break an invariant "
-                "(tamper-result | forge-ledger) and expect it caught");
+                "(tamper-result | forge-ledger | drop-completion) and expect "
+                "it caught");
   cli.AddString("fail-out", &fail_out,
-                "write failing episodes (seed + schedule + repro) here");
-  cli.AddInt("crash-episodes", &crash_episodes,
-             "kill/restart soak: episodes run through the durable "
-             "coordinator with a seeded crash point each (0 = skip)");
-  cli.AddInt("crash-replay", &crash_replay,
-             "replay just this crash-injected episode and print its "
-             "schedule, crash point, and journal/snapshot artifacts");
+                "write failing episodes (schedule + failure + repro) here");
   cli.AddString("crash-artifacts-dir", &crash_artifacts_dir,
-                "write each crash episode's sealed snapshot + combined "
-                "journal into this directory (sealed bytes only)");
+                "crash harness: write each episode's sealed snapshot + "
+                "combined journal into this directory (sealed bytes only)");
   cli.AddInt("crash-trials", &crash_trials,
              "journal-overhead A/B trials (journaling on vs off on the same "
              "scenario) plus restart wall-clock vs journal length (0 = skip)");
@@ -538,269 +579,103 @@ int main(int argc, char** argv) {
   cli.AddInt("byz-queries", &byz_queries, "queries per byzantine A/B trial");
   cli.AddString("byz-out", &byz_out,
                 "write the byzantine A/B summary JSON here");
-  cli.AddInt("overload-episodes", &overload_episodes,
-             "serving-tier overload soak: episodes rotating through tenant "
-             "flood / flash crowd / fleet brownout / retry storm mixes with "
-             "decode, shed-accounting, no-metastability, and liveness "
-             "invariants (0 = skip)");
-  cli.AddInt("overload-replay", &overload_replay,
-             "replay just this overload episode and print its scenario, "
-             "phase goodputs, and invariant verdicts");
   cli.AddString("run-metrics-csv", &metrics_csv,
-                "write per-episode run+recovery metrics CSV here");
+                "protocol/crash: write per-episode run+recovery metrics CSV");
   cli.AddString("run-metrics-json", &metrics_json,
-                "write per-episode run+recovery metrics JSON lines here");
+                "protocol/crash: write per-episode run+recovery metrics JSON "
+                "lines");
   scec::bench::AddTelemetryFlags(&cli, &telemetry);
   if (!cli.Parse(argc, argv)) return 1;
 
   // Flag combinations that would otherwise be silently ignored are hard
   // errors: a soak invocation that *looks* like it sabotaged an episode or
-  // recorded an A/B summary but actually did neither is worse than a typo.
-  if (!sabotage_name.empty() && replay < 0 && crash_replay < 0 &&
-      overload_replay < 0) {
-    std::cerr << "--sabotage requires --replay, --crash-replay, or "
-                 "--overload-replay\n";
+  // recorded a summary but actually did neither is worse than a typo.
+  const bool chaos = harness == "protocol" || harness == "crash";
+  Sabotage sabotage = Sabotage::kNone;
+  auto usage_error = [](const std::string& message) {
+    std::cerr << message << "\n";
     return 1;
+  };
+  if (!chaos && harness != "overload" && harness != "net") {
+    return usage_error("unknown --harness: " + harness);
+  }
+  if (!sabotage_name.empty()) {
+    if (replay < 0) return usage_error("--sabotage requires --replay");
+    sabotage = scec::sim::ParseSabotage(sabotage_name);
+    // The overload harness has no ledger to forge; the others have no
+    // completion stream to drop from.
+    const bool overload = harness == "overload";
+    if (!(sabotage == Sabotage::kTamperResult ||
+          (sabotage == Sabotage::kForgeLedger && !overload) ||
+          (sabotage == Sabotage::kDropCompletion && overload))) {
+      return usage_error("--sabotage=" + sabotage_name +
+                         " does not apply to --harness=" + harness);
+    }
+  }
+  if (!crash_artifacts_dir.empty() && harness != "crash") {
+    return usage_error("--crash-artifacts-dir requires --harness=crash");
+  }
+  if ((!metrics_csv.empty() || !metrics_json.empty()) && !chaos) {
+    return usage_error("--run-metrics-* require --harness=protocol or crash");
+  }
+  if (queries > 0 && harness == "overload") {
+    return usage_error("--queries does not apply to --harness=overload");
   }
   if (!crash_out.empty() && crash_trials <= 0) {
-    std::cerr << "--crash-out requires --crash-trials > 0\n";
-    return 1;
+    return usage_error("--crash-out requires --crash-trials > 0");
   }
   if (!byz_out.empty() && byz_trials <= 0) {
-    std::cerr << "--byz-out requires --byz-trials > 0\n";
-    return 1;
-  }
-  if (!crash_artifacts_dir.empty() && crash_episodes <= 0 &&
-      crash_replay < 0) {
-    std::cerr << "--crash-artifacts-dir requires --crash-episodes > 0 or "
-                 "--crash-replay\n";
-    return 1;
+    return usage_error("--byz-out requires --byz-trials > 0");
   }
   scec::bench::StartTelemetry(telemetry);
 
-  ChaosConfig config;
-  config.seed = static_cast<uint64_t>(seed);
-  config.episodes = static_cast<size_t>(episodes);
-  config.queries_per_episode = static_cast<size_t>(queries);
-  config.crash_artifacts_dir = crash_artifacts_dir;
-
-  if (overload_replay >= 0) {
-    scec::sim::OverloadConfig overload_config;
-    overload_config.seed = static_cast<uint64_t>(seed);
-    scec::sim::OverloadSabotage overload_sabotage =
-        scec::sim::OverloadSabotage::kNone;
-    if (sabotage_name == "tamper-result") {
-      overload_sabotage = scec::sim::OverloadSabotage::kTamperResult;
-    } else if (sabotage_name == "drop-completion") {
-      overload_sabotage = scec::sim::OverloadSabotage::kDropCompletion;
-    } else if (!sabotage_name.empty()) {
-      std::cerr << "unknown overload --sabotage: " << sabotage_name
-                << " (tamper-result | drop-completion)\n";
-      return 1;
-    }
-    return ReplayOverload(overload_config,
-                          static_cast<size_t>(overload_replay),
-                          overload_sabotage);
-  }
-
-  if (replay >= 0 || crash_replay >= 0) {
-    ChaosSabotage sabotage = ChaosSabotage::kNone;
-    if (sabotage_name == "tamper-result") {
-      sabotage = ChaosSabotage::kTamperResult;
-    } else if (sabotage_name == "forge-ledger") {
-      sabotage = ChaosSabotage::kForgeLedger;
-    } else if (!sabotage_name.empty()) {
-      std::cerr << "unknown --sabotage: " << sabotage_name << "\n";
-      return 1;
-    }
-    if (crash_replay >= 0) {
-      return Replay(config, static_cast<size_t>(crash_replay), sabotage,
-                    /*crash=*/true);
-    }
-    return Replay(config, static_cast<size_t>(replay), sabotage,
-                  /*crash=*/false);
-  }
-
-  const ChaosSoakSummary summary = scec::sim::RunChaosSoak(config);
-
-  // Per-mix aggregation.
-  struct MixStats {
-    size_t episodes = 0;
-    size_t passed = 0;
-    size_t decoded = 0;
-    uint64_t evictions = 0;
-    uint64_t recovery_rounds = 0;
-    uint64_t hedges = 0;
-    uint64_t hedges_won = 0;
-  };
-  std::map<std::string, MixStats> mixes;
-  std::string csv_lines = "episode,mix,outcome,ok," +
-                          scec::sim::RunMetricsCsvHeader() + "," +
-                          scec::sim::FaultRecoveryMetricsCsvHeader() + "\n";
-  std::string json_lines;
-  for (const ChaosEpisode& episode : summary.detail) {
-    MixStats& mix = mixes[episode.mix];
-    ++mix.episodes;
-    if (episode.ok()) ++mix.passed;
-    if (episode.outcome == "decoded") ++mix.decoded;
-    mix.evictions += episode.recovery.TotalEvictions();
-    mix.recovery_rounds += episode.recovery.recovery_rounds;
-    mix.hedges += episode.recovery.hedges_dispatched;
-    mix.hedges_won += episode.recovery.hedges_won;
-    csv_lines += std::to_string(episode.index) + "," + episode.mix + "," +
-                 episode.outcome + "," + (episode.ok() ? "1" : "0") + "," +
-                 scec::sim::ToCsvRow(episode.run) + "," +
-                 scec::sim::ToCsvRow(episode.recovery) + "\n";
-    json_lines += EpisodeJson(episode);
-  }
-
-  scec::TablePrinter table({"mix", "episodes", "passed", "decoded",
-                            "evictions", "rec rounds", "hedges", "hedge wins"});
-  for (const auto& [name, mix] : mixes) {
-    table.AddRow({name, std::to_string(mix.episodes),
-                  std::to_string(mix.passed), std::to_string(mix.decoded),
-                  std::to_string(mix.evictions),
-                  std::to_string(mix.recovery_rounds),
-                  std::to_string(mix.hedges), std::to_string(mix.hedges_won)});
-  }
-  table.Print(std::cout);
-  std::cout << "  episodes=" << summary.episodes
-            << " passed=" << summary.passed << " decoded=" << summary.decoded
-            << " infeasible=" << summary.infeasible
-            << " internal=" << summary.internal
-            << " failing=" << summary.failing.size() << "\n";
-
+  const size_t query_override = static_cast<size_t>(queries);
   std::string fail_report;
-  for (size_t index : summary.failing) {
-    const ChaosEpisode& episode = summary.detail[index];
-    fail_report += scec::sim::DescribeSchedule(episode);
-    fail_report += "  failure: " + episode.failure + "\n";
-    fail_report += "  repro: " + scec::sim::ReproCommand(config, episode) +
-                   "\n\n";
+  std::vector<ChaosEpisode> chaos_detail;  // for --run-metrics-*
+  int rc = 0;
+  if (chaos) {
+    scec::sim::ChaosConfig config;
+    config.seed = static_cast<uint64_t>(seed);
+    if (episodes >= 0) config.episodes = static_cast<size_t>(episodes);
+    if (queries > 0) config.queries_per_episode = query_override;
+    config.crash_artifacts_dir = crash_artifacts_dir;
+    rc = RunHarness(harness, config,
+                    harness == "crash" ? scec::sim::RunCrashEpisode
+                                       : scec::sim::RunChaosEpisode,
+                    replay, sabotage, query_override, &fail_report,
+                    &chaos_detail);
+  } else if (harness == "overload") {
+    scec::sim::OverloadConfig config;
+    config.seed = static_cast<uint64_t>(seed);
+    if (episodes >= 0) config.episodes = static_cast<size_t>(episodes);
+    rc = RunHarness(harness, config, scec::sim::RunOverloadEpisode, replay,
+                    sabotage, 0, &fail_report);
+  } else {
+    scec::net::NetChaosConfig config;
+    config.seed = static_cast<uint64_t>(seed);
+    if (episodes >= 0) config.episodes = static_cast<size_t>(episodes);
+    if (queries > 0) config.queries = query_override;
+    rc = RunHarness(harness, config, scec::net::RunNetChaosEpisode, replay,
+                    sabotage, query_override, &fail_report);
   }
-  if (!summary.failing.empty()) {
-    std::cerr << fail_report;
-  }
-
-  bool ok = config.episodes == 0 || summary.ok();  // 0 = A/B-only run
-
-  if (crash_episodes > 0) {
-    ChaosConfig crash_config = config;
-    crash_config.episodes = static_cast<size_t>(crash_episodes);
-    const ChaosSoakSummary crash_summary =
-        scec::sim::RunCrashSoak(crash_config);
-    struct PointStats {
-      size_t episodes = 0;
-      size_t fired = 0;
-      size_t passed = 0;
-    };
-    std::map<std::string, PointStats> points;
-    size_t fired = 0;
-    size_t resumed = 0;
-    uint64_t journal_bytes = 0;
-    for (const ChaosEpisode& episode : crash_summary.detail) {
-      PointStats& point =
-          points[scec::recovery::CrashPointName(episode.crash.point)];
-      ++point.episodes;
-      if (episode.crash_fired) {
-        ++point.fired;
-        ++fired;
-      }
-      if (episode.ok()) ++point.passed;
-      resumed += episode.recovery.resumed_responses;
-      journal_bytes += episode.journal_bytes;
+  if (replay >= 0) return rc;
+  bool ok = rc == 0;
+  ok = WriteFile(fail_out, fail_report) && ok;
+  if (chaos) {
+    std::string csv_lines = "episode,mix,outcome,ok," +
+                            scec::sim::RunMetricsCsvHeader() + "," +
+                            scec::sim::FaultRecoveryMetricsCsvHeader() + "\n";
+    std::string json_lines;
+    for (const ChaosEpisode& episode : chaos_detail) {
+      csv_lines += std::to_string(episode.index) + "," + episode.mix + "," +
+                   episode.outcome + "," + (episode.ok() ? "1" : "0") + "," +
+                   scec::sim::ToCsvRow(episode.run) + "," +
+                   scec::sim::ToCsvRow(episode.recovery) + "\n";
       json_lines += EpisodeJson(episode);
     }
-    scec::TablePrinter crash_table(
-        {"crash point", "episodes", "fired", "passed"});
-    for (const auto& [name, point] : points) {
-      crash_table.AddRow({name, std::to_string(point.episodes),
-                          std::to_string(point.fired),
-                          std::to_string(point.passed)});
-    }
-    crash_table.Print(std::cout);
-    std::cout << "  crash soak: episodes=" << crash_summary.episodes
-              << " passed=" << crash_summary.passed << " fired=" << fired
-              << " resumed_responses=" << resumed << " avg_journal_bytes="
-              << journal_bytes / std::max<size_t>(crash_summary.episodes, 1)
-              << "\n";
-    for (size_t index : crash_summary.failing) {
-      const ChaosEpisode& episode = crash_summary.detail[index];
-      fail_report += scec::sim::DescribeSchedule(episode);
-      fail_report += "  failure: " + episode.failure + "\n";
-      fail_report +=
-          "  repro: " + scec::sim::ReproCommand(crash_config, episode) +
-          "\n\n";
-    }
-    if (!crash_summary.failing.empty()) {
-      std::cerr << fail_report;
-    }
-    ok = ok && crash_summary.ok();
-    scec::CheckLine(crash_summary.ok(),
-                    "every kill/restart episode holds the nine invariants "
-                    "(exact decode, fresh pads, balanced journal ledger)");
+    ok = WriteFile(metrics_csv, csv_lines) && ok;
+    ok = WriteFile(metrics_json, json_lines) && ok;
   }
-
-  if (overload_episodes > 0) {
-    scec::sim::OverloadConfig overload_config;
-    overload_config.seed = static_cast<uint64_t>(seed);
-    overload_config.episodes = static_cast<size_t>(overload_episodes);
-    const scec::sim::OverloadSoakSummary overload_summary =
-        scec::sim::RunOverloadSoak(overload_config);
-    struct OverloadMixStats {
-      size_t episodes = 0;
-      size_t passed = 0;
-      uint64_t rejected = 0;
-      uint64_t shed = 0;
-      uint64_t transitions = 0;
-      uint64_t breaker_opens = 0;
-    };
-    std::map<std::string, OverloadMixStats> overload_mixes;
-    for (const scec::sim::OverloadEpisode& episode : overload_summary.detail) {
-      OverloadMixStats& mix = overload_mixes[episode.mix];
-      ++mix.episodes;
-      if (episode.ok()) ++mix.passed;
-      mix.rejected += episode.rejected;
-      mix.shed += episode.shed;
-      mix.transitions += episode.ladder_transitions;
-      mix.breaker_opens += episode.breaker_opens;
-    }
-    scec::TablePrinter overload_table({"overload mix", "episodes", "passed",
-                                       "rejected", "shed", "ladder moves",
-                                       "breaker opens"});
-    for (const auto& [name, mix] : overload_mixes) {
-      overload_table.AddRow(
-          {name, std::to_string(mix.episodes), std::to_string(mix.passed),
-           std::to_string(mix.rejected), std::to_string(mix.shed),
-           std::to_string(mix.transitions),
-           std::to_string(mix.breaker_opens)});
-    }
-    overload_table.Print(std::cout);
-    std::cout << "  overload soak: episodes=" << overload_summary.episodes
-              << " passed=" << overload_summary.passed
-              << " failing=" << overload_summary.failing.size() << "\n";
-    for (size_t index : overload_summary.failing) {
-      const scec::sim::OverloadEpisode& episode =
-          overload_summary.detail[index];
-      fail_report += scec::sim::DescribeOverloadEpisode(episode);
-      fail_report += "  failure: " + episode.failure + "\n";
-      fail_report += "  repro: " +
-                     scec::sim::OverloadReproCommand(overload_config, episode) +
-                     "\n\n";
-    }
-    if (!overload_summary.failing.empty()) {
-      std::cerr << fail_report;
-    }
-    ok = ok && overload_summary.ok();
-    scec::CheckLine(overload_summary.ok(),
-                    "every overload episode holds the serving invariants "
-                    "(exact decode, total shed accounting, goodput recovery, "
-                    "drained queue)");
-  }
-
-  ok = WriteFile(fail_out, fail_report) && ok;
-  ok = WriteFile(metrics_csv, csv_lines) && ok;
-  ok = WriteFile(metrics_json, json_lines) && ok;
 
   if (crash_trials > 0) {
     const CrashTrials trials =
@@ -931,10 +806,5 @@ int main(int argc, char** argv) {
   }
 
   ok = scec::bench::ExportTelemetry(telemetry) && ok;
-  return scec::CheckLine(
-             ok, "all episodes hold the chaos invariants (decode, ITS, "
-                 "ledger, liveness, masking, quarantine, restart "
-                 "decode/security/ledger)") == 0
-             ? 0
-             : 1;
+  return scec::CheckLine(ok, "every soak and A/B check passes");
 }

@@ -2,6 +2,7 @@
 
 #include "net/net_chaos.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -23,13 +24,6 @@ double WallSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-uint64_t EpisodeSeed(uint64_t seed, size_t index) {
-  SplitMix64 mix(seed);
-  uint64_t derived = mix.Next();
-  for (size_t i = 0; i <= index; ++i) derived = SplitMix64(derived).Next();
-  return derived;
 }
 
 NetChaosSchedule DeriveSchedule(const NetChaosConfig& config,
@@ -101,21 +95,18 @@ SocketTransportOptions ChaosTransportOptions(uint64_t episode_seed) {
 
 }  // namespace
 
-NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
-                                   size_t index) {
+NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config, size_t index,
+                                   sim::Sabotage sabotage) {
   NetChaosEpisode episode;
-  episode.seed = config.seed;
   episode.index = index;
+  episode.seed = sim::EpisodeSeed(config.seed, index);
+  episode.invariants =
+      sim::InvariantSet({"decode", "security", "ledger", "liveness"});
+  sim::InvariantSet& invariants = episode.invariants;
   const double wall_start = WallSeconds();
-  const uint64_t derived = EpisodeSeed(config.seed, index);
-  Xoshiro256StarStar rng(derived);
+  Xoshiro256StarStar rng(episode.seed);
   episode.schedule = DeriveSchedule(config, rng);
   const NetChaosSchedule& sched = episode.schedule;
-
-  auto fail = [&](bool NetChaosInvariants::* member, std::string detail) {
-    episode.invariants.*member = false;
-    if (episode.failure.empty()) episode.failure = std::move(detail);
-  };
 
   // Problem instance: fleet costs and data drawn from the episode stream.
   const size_t k = config.num_devices;
@@ -137,9 +128,8 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
     auto daemon = std::make_unique<ScecDaemon>(ScecdOptions{d, 0});
     Status up = daemon->Start();
     if (!up.ok()) {
-      fail(&NetChaosInvariants::liveness,
-           "daemon " + std::to_string(d) + " failed to start: " +
-               up.message());
+      invariants.Fail("liveness", "daemon " + std::to_string(d) +
+                                      " failed to start: " + up.message());
       episode.wall_s = WallSeconds() - wall_start;
       return episode;
     }
@@ -150,7 +140,7 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
     }
     ChaosProxyOptions proxy_options;
     proxy_options.upstream_port = daemon->port();
-    proxy_options.seed = derived ^ (0x9E3779B97F4A7C15ULL * (d + 1));
+    proxy_options.seed = episode.seed ^ (0x9E3779B97F4A7C15ULL * (d + 1));
     proxy_options.drop_prob = sched.drop_prob;
     proxy_options.delay_prob = sched.delay_prob;
     proxy_options.delay_s = sched.delay_s;
@@ -161,9 +151,9 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
     auto proxy = std::make_unique<ChaosProxy>(proxy_options);
     Status proxied = proxy->Start();
     if (!proxied.ok()) {
-      fail(&NetChaosInvariants::liveness,
-           "proxy " + std::to_string(d) + " failed to start: " +
-               proxied.message());
+      invariants.Fail("liveness", "proxy " + std::to_string(d) +
+                                      " failed to start: " +
+                                      proxied.message());
       episode.wall_s = WallSeconds() - wall_start;
       return episode;
     }
@@ -174,14 +164,16 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
 
   {
     auto transport = std::make_unique<SocketTransport>(
-        ports, ChaosTransportOptions(derived));
-    NetCoordinator coordinator(a, fleet, ChaosDriverOptions(derived));
+        ports, ChaosTransportOptions(episode.seed));
+    NetCoordinator coordinator(a, fleet, ChaosDriverOptions(episode.seed));
     Status setup = coordinator.Setup(transport.get());
     if (!setup.ok()) {
-      fail(&NetChaosInvariants::liveness,
-           "setup failed: " + setup.message());
+      invariants.Fail("liveness", "setup failed: " + setup.message());
     }
 
+    // liveness: every query returns an explicit outcome (decoded,
+    // kInfeasible or kInternal) and the episode finishes under a hard wall
+    // cap. kInternal (recovery budget spent) ends one query, not the run.
     std::thread healer;
     for (size_t q = 0; setup.ok() && q < config.queries; ++q) {
       if (q == sched.partition_query &&
@@ -201,42 +193,47 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
       MatVecInto(a, std::span<const double>(x), std::span<double>(expected));
 
       Result<std::vector<double>> answer = coordinator.Query(x);
+      episode.outcome = sim::QueryOutcome(answer.status(), &invariants);
       if (answer.ok()) {
+        // decode: every answered query equals the locally computed A·x
+        // within float tolerance. Sabotage tampers with a copy of the
+        // first answer.
+        std::vector<double> got = std::move(answer).value();
+        if (sabotage == sim::Sabotage::kTamperResult &&
+            episode.queries_answered == 0) {
+          got[0] += 1.0;
+        }
         ++episode.queries_answered;
         for (size_t p = 0; p < expected.size(); ++p) {
-          const double tolerance =
-              1e-6 * std::max(1.0, std::abs(expected[p]));
-          if (std::abs((*answer)[p] - expected[p]) > tolerance) {
-            fail(&NetChaosInvariants::decode_exact,
-                 "query " + std::to_string(q) + " row " + std::to_string(p) +
-                     ": got " + std::to_string((*answer)[p]) + ", want " +
-                     std::to_string(expected[p]));
+          if (std::abs(got[p] - expected[p]) >
+              1e-6 * std::max(1.0, std::abs(expected[p]))) {
+            invariants.Fail("decode", "query " + std::to_string(q) + " row " +
+                                          std::to_string(p) + ": got " +
+                                          std::to_string(got[p]) + ", want " +
+                                          std::to_string(expected[p]));
             break;
           }
         }
-      } else if (answer.status().code() == ErrorCode::kInfeasible) {
-        break;  // fleet collapsed below k = 2: a legitimate explicit outcome
-      } else if (answer.status().code() != ErrorCode::kInternal) {
-        // kInternal = recovery budget spent (explicit, legitimate);
-        // anything else is a liveness/typing regression.
-        fail(&NetChaosInvariants::liveness,
-             "query " + std::to_string(q) +
-                 " unexpected outcome: " + answer.status().message());
       }
       if (q == sched.partition_query && healer.joinable()) healer.join();
+      if (episode.outcome == "infeasible") break;  // fleet below k = 2
     }
     if (healer.joinable()) healer.join();
 
-    // Invariant 2: cumulative Def. 2 ITS across every recovery round.
+    // security: every device's cumulative view stays Def. 2 ITS-secure
+    // across all recovery re-encodes (exact GF(2^61−1) ranks).
     if (setup.ok() && !coordinator.CumulativeViewsSecure()) {
-      fail(&NetChaosInvariants::security_its,
-           "cumulative view lost ITS after " +
-               std::to_string(coordinator.stats().recovery_rounds) +
-               " recovery rounds");
+      invariants.Fail("security",
+                      "cumulative view lost ITS after " +
+                          std::to_string(coordinator.stats().recovery_rounds) +
+                          " recovery rounds");
     }
 
-    // Invariant 3: double-entry ledger. Drain, sweep leftover completions,
-    // then reconcile driver vs transport tallies exactly.
+    // ledger: double-entry accounting reconciles. Drain, sweep leftover
+    // completions, then check that the transport's delivered-response
+    // count equals the coordinator's seen count plus the sweep, that query
+    // bytes match dispatches x l x 8 on both sides of the interface, and
+    // that used response bytes never exceed delivered bytes.
     (void)transport->Drain(1.0);
     uint64_t swept_responses = 0;
     std::vector<Completion> sweep;
@@ -255,33 +252,39 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
     }
     episode.driver_stats = coordinator.stats();
     episode.transport_stats = transport->stats();
+    if (sabotage == sim::Sabotage::kForgeLedger) {
+      episode.transport_stats.responses_delivered += 7;
+    }
     const NetCoordinatorStats& ds = episode.driver_stats;
     const NetTransportStats& ts = episode.transport_stats;
     if (setup.ok()) {
       if (ts.responses_delivered != ds.responses_seen + swept_responses) {
-        fail(&NetChaosInvariants::ledger_balanced,
-             "responses: transport delivered " +
-                 std::to_string(ts.responses_delivered) + " != driver saw " +
-                 std::to_string(ds.responses_seen) + " + swept " +
-                 std::to_string(swept_responses));
+        invariants.Fail("ledger", "responses: transport delivered " +
+                                      std::to_string(ts.responses_delivered) +
+                                      " != coordinator saw " +
+                                      std::to_string(ds.responses_seen) +
+                                      " + swept " +
+                                      std::to_string(swept_responses));
       }
       if (ds.query_value_bytes != 8.0 * config.l * ds.dispatches) {
-        fail(&NetChaosInvariants::ledger_balanced,
-             "driver query bytes diverge from dispatches x l x 8");
+        invariants.Fail("ledger",
+                        "coordinator query bytes diverge from dispatches x "
+                        "l x 8");
       }
       if (ts.query_value_bytes_sent !=
           static_cast<uint64_t>(8 * config.l) * ts.queries_sent) {
-        fail(&NetChaosInvariants::ledger_balanced,
-             "transport query bytes diverge from sends x l x 8");
+        invariants.Fail("ledger",
+                        "transport query bytes diverge from sends x l x 8");
       }
       if (ts.queries_sent > ds.dispatches) {
-        fail(&NetChaosInvariants::ledger_balanced,
-             "transport sent more queries than the driver dispatched");
+        invariants.Fail("ledger",
+                        "transport sent more queries than were dispatched");
       }
       if (ds.response_value_bytes >
           static_cast<double>(ts.response_value_bytes_delivered)) {
-        fail(&NetChaosInvariants::ledger_balanced,
-             "driver used more response bytes than were delivered");
+        invariants.Fail(
+            "ledger",
+            "coordinator used more response bytes than were delivered");
       }
     }
     // Transport (and its loop thread) must die before the proxies and
@@ -293,35 +296,19 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
 
   episode.wall_s = WallSeconds() - wall_start;
   if (episode.wall_s > config.episode_wall_cap_s) {
-    fail(&NetChaosInvariants::liveness,
-         "episode took " + std::to_string(episode.wall_s) + "s > cap " +
-             std::to_string(config.episode_wall_cap_s) + "s");
+    invariants.Fail("liveness", "episode took " +
+                                    std::to_string(episode.wall_s) +
+                                    "s > cap " +
+                                    std::to_string(config.episode_wall_cap_s) +
+                                    "s");
   }
   return episode;
 }
 
-NetChaosSummary RunNetChaosSoak(const NetChaosConfig& config,
-                                size_t episodes) {
-  NetChaosSummary summary;
-  for (size_t index = 0; index < episodes; ++index) {
-    NetChaosEpisode episode = RunNetChaosEpisode(config, index);
-    ++summary.episodes;
-    if (!episode.ok()) {
-      ++summary.failures;
-      if (summary.first_failure.empty()) {
-        summary.first_failure = DescribeNetSchedule(episode) + " | " +
-                                episode.failure + " | repro: " +
-                                NetReproCommand(config, index);
-      }
-    }
-  }
-  return summary;
-}
-
-std::string DescribeNetSchedule(const NetChaosEpisode& episode) {
+std::string Describe(const NetChaosEpisode& episode) {
   std::ostringstream out;
   const NetChaosSchedule& sched = episode.schedule;
-  out << "episode seed=" << episode.seed << " index=" << episode.index
+  out << "episode " << episode.index << " seed=" << episode.seed
       << " drop=" << sched.drop_prob << " delay_p=" << sched.delay_prob
       << " reorder=" << sched.reorder_prob;
   if (sched.byzantine_device != SIZE_MAX) {
@@ -338,15 +325,8 @@ std::string DescribeNetSchedule(const NetChaosEpisode& episode) {
     out << " kill=d" << sched.kill_device << "@frame"
         << sched.kill_after_frames;
   }
-  return out.str();
-}
-
-std::string NetReproCommand(const NetChaosConfig& config, size_t index) {
-  std::ostringstream out;
-  out << "bench/net_cluster --mode=chaos --seed=" << config.seed
-      << " --episodes=1 --first_episode=" << index
-      << " --devices=" << config.num_devices << " --m=" << config.m
-      << " --l=" << config.l << " --queries=" << config.queries;
+  out << "\n  answered=" << episode.queries_answered
+      << " wall=" << episode.wall_s << "s\n";
   return out.str();
 }
 

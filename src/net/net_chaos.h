@@ -1,33 +1,21 @@
 // SPDX-License-Identifier: MIT
 //
-// Socket-level chaos harness: the in-sim chaos discipline (sim/chaos.h)
-// replayed over REAL sockets. Each episode derives its whole fault schedule
-// from (seed, index), then builds a live loopback cluster —
+// Socket-level chaos harness (the "net" harness of sim/episode.h): the
+// in-sim chaos discipline replayed over REAL sockets. Each episode derives
+// its whole fault schedule from its episode seed, then builds a live
+// loopback cluster —
 //
 //   N scecd daemons  ←  N chaos proxies  ←  SocketTransport  ←  NetCoordinator
 //
 // — runs queries through it under loss / delay / reorder / partition /
-// mid-message kill / Byzantine / silent-device faults, and checks the same
-// four invariants the deterministic harness enforces:
-//
-//   1. decode    — every successfully answered query equals the locally
-//                  computed A·x within float tolerance;
-//   2. security  — every device's cumulative view stays Def. 2 ITS-secure
-//                  across all recovery re-encodes (exact GF(2^61−1) ranks);
-//   3. ledger    — double-entry accounting reconciles: the transport's
-//                  delivered-response count equals the driver's seen count
-//                  plus the harness's post-drain sweep, query bytes match
-//                  dispatches × l × 8 on both sides of the interface, and
-//                  used-response bytes never exceed delivered bytes;
-//   4. liveness  — every query returns an explicit outcome (decoded,
-//                  kInfeasible, or kInternal) and the episode finishes
-//                  under a hard wall cap.
+// mid-message kill / Byzantine / silent-device faults, and checks decode,
+// security, ledger and liveness (documented where net_chaos.cpp checks
+// them). Sabotage (kTamperResult, kForgeLedger) corrupts a copy of the
+// first answer or of the ledger tallies; the cluster itself is untouched.
 //
 // Unlike the simulator, wall-clock scheduling here is nondeterministic — the
 // *schedule* is replayable from the seed, the exact interleaving is not; the
-// invariants are written to hold under every interleaving. A failing
-// episode's (seed, index) plus DescribeNetSchedule() is the repro recipe
-// (bench/net_cluster --mode=chaos re-runs it).
+// invariants are written to hold under every interleaving.
 
 #pragma once
 
@@ -36,14 +24,16 @@
 
 #include "net/driver.h"
 #include "net/transport.h"
+#include "sim/episode.h"
 
 namespace scec::net {
 
 struct NetChaosConfig {
   uint64_t seed = 1;
-  size_t num_devices = 6;
-  size_t m = 18;
-  size_t l = 12;
+  size_t episodes = 8;
+  size_t num_devices = 5;
+  size_t m = 12;
+  size_t l = 8;
   size_t queries = 4;
 
   // Fault intensity ceilings; per-episode values are drawn below them.
@@ -71,42 +61,19 @@ struct NetChaosSchedule {
   uint64_t kill_after_frames = 0;
 };
 
-struct NetChaosInvariants {
-  bool decode_exact = true;
-  bool security_its = true;
-  bool ledger_balanced = true;
-  bool liveness = true;
-
-  bool AllHold() const {
-    return decode_exact && security_its && ledger_balanced && liveness;
-  }
-};
-
-struct NetChaosEpisode {
-  uint64_t seed = 0;
-  size_t index = 0;
+struct NetChaosEpisode : sim::EpisodeRecord {
   NetChaosSchedule schedule;
-  NetChaosInvariants invariants;
-  std::string failure;  // first violated invariant + detail; empty if ok
   NetCoordinatorStats driver_stats;
   NetTransportStats transport_stats;
   size_t queries_answered = 0;
   double wall_s = 0.0;
-
-  bool ok() const { return invariants.AllHold(); }
 };
 
-struct NetChaosSummary {
-  size_t episodes = 0;
-  size_t failures = 0;
-  std::string first_failure;  // DescribeNetSchedule + failure of first bad
-};
+NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config, size_t index,
+                                   sim::Sabotage sabotage =
+                                       sim::Sabotage::kNone);
 
-NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config, size_t index);
-NetChaosSummary RunNetChaosSoak(const NetChaosConfig& config,
-                                size_t episodes);
-
-std::string DescribeNetSchedule(const NetChaosEpisode& episode);
-std::string NetReproCommand(const NetChaosConfig& config, size_t index);
+// One line: episode identity and its fault schedule.
+std::string Describe(const NetChaosEpisode& episode);
 
 }  // namespace scec::net

@@ -19,18 +19,6 @@
 namespace scec::sim {
 namespace {
 
-// Every random choice of episode i flows from this one derived seed, so
-// (master seed, index) fully replays the episode.
-uint64_t EpisodeSeed(uint64_t master, size_t index) {
-  SplitMix64 mix(master ^ (0x9E3779B97F4A7C15ull * (index + 1)));
-  return mix.Next();
-}
-
-size_t DrawInRange(Xoshiro256StarStar& rng, size_t lo, size_t hi) {
-  SCEC_CHECK_LE(lo, hi);
-  return lo + static_cast<size_t>(rng.NextBelow(hi - lo + 1));
-}
-
 std::string Num(double v) {
   std::ostringstream os;
   os.precision(17);
@@ -91,6 +79,7 @@ std::string CheckLedger(const ChaosEpisode& episode, double value_bytes) {
 // RunChaosEpisode(config, i). Filled in place (never moved): options.faults
 // points at this object's own schedule.
 struct ChaosScenario {
+  ChaosMix mix;
   McscecProblem problem;
   Matrix<double> a;
   std::vector<double> x;
@@ -103,14 +92,33 @@ struct ChaosScenario {
   FaultToleranceOptions ft;
 };
 
-// Draws the scenario from `rng` (already seeded with the episode seed) and
-// fills `episode`'s identity fields. Returns false when deployment fails —
-// the episode is then fully marked (liveness violation) and must be
-// returned as-is. The RNG draw order below is load-bearing: it must match
-// the historical RunChaosEpisode exactly, or every soak seed changes.
-bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
-                    Xoshiro256StarStar& rng, ChaosEpisode* episode,
-                    ChaosScenario* scenario) {
+// A fresh episode `index` of `config`: identity plus the invariants the
+// harness registers (the crash harness adds the three restart invariants).
+ChaosEpisode NewEpisode(const ChaosConfig& config, size_t index, bool crash) {
+  ChaosEpisode episode;
+  episode.index = index;
+  episode.seed = EpisodeSeed(config.seed, index);
+  episode.invariants =
+      crash ? InvariantSet({"decode", "security", "ledger", "liveness",
+                            "masking", "quarantine", "restart_decode",
+                            "restart_security", "restart_ledger"})
+            : InvariantSet({"decode", "security", "ledger", "liveness",
+                            "masking", "quarantine"});
+  return episode;
+}
+
+// Draws the scenario of `episode` from `rng` (seeded with the episode seed)
+// and fills its scenario fields. Returns false when deployment fails — the
+// episode is then complete (liveness violated) and must be returned as-is.
+// The RNG draw order below is load-bearing: it must match the historical
+// RunChaosEpisode exactly, or every soak seed changes.
+bool DeriveScenario(const ChaosConfig& config, Xoshiro256StarStar& rng,
+                    ChaosEpisode* episode, ChaosScenario* scenario) {
+  const std::vector<ChaosMix> mixes =
+      config.mixes.empty() ? DefaultChaosMixes() : config.mixes;
+  scenario->mix = mixes[episode->index % mixes.size()];
+  const ChaosMix& mix = scenario->mix;
+  episode->mix = mix.name;
   episode->m = DrawInRange(rng, config.m_min, config.m_max);
   episode->l = DrawInRange(rng, config.l_min, config.l_max);
   episode->fleet = DrawInRange(rng, config.fleet_min, config.fleet_max);
@@ -137,8 +145,8 @@ bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
       DeploymentSession<double>::Open(problem, scenario->a, coding_rng);
   if (!session.ok()) {
     episode->outcome = session.status().ToString();
-    episode->invariants.liveness = false;
-    episode->failure = "liveness: deployment failed: " + episode->outcome;
+    episode->invariants.Fail("liveness",
+                             "deployment failed: " + episode->outcome);
     return false;
   }
   scenario->session.emplace(std::move(session).value());
@@ -255,15 +263,18 @@ bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
   return true;
 }
 
-// Invariants 5 + 6 (byzantine mixes only): single-round masking and liar
-// quarantine. Gated on always-lying liars (probability 1) on an episode
-// whose schedule is PURE corruption — any other fault kind legitimately
-// forces recovery rounds. Minimal-magnitude (relative) lies may slip the
-// digest (caught by the locator's value check instead), so the
-// flag-dependent halves are skipped for them. `final_gen_ran_queries` is
-// false only on crash episodes whose final incarnation answered every query
-// from the journal: its per-generation masked-query counter is then
-// legitimately zero.
+// masking and quarantine (byzantine mixes only: guard segments, locator
+// decode and reputation):
+//   masking    — with guards provisioned and <= t always-lying scripted
+//                liars, every query decodes with ZERO recovery re-plans
+//                (and, for digest-visible liars, is counted masked);
+//   quarantine — every always-lying, digest-visible scripted liar ends the
+//                episode quarantined by the reputation tracker.
+// Gated on always-lying liars (probability 1) on an episode whose schedule
+// is PURE corruption — any other fault kind legitimately forces recovery
+// rounds. Minimal-magnitude (relative) lies may slip the digest (caught by
+// the locator's value check instead), so the flag-dependent halves are
+// skipped for them.
 void CheckByzantineInvariants(const ChaosMix& mix,
                               FaultTolerantScecProtocol& protocol,
                               bool final_gen_ran_queries,
@@ -279,37 +290,96 @@ void CheckByzantineInvariants(const ChaosMix& mix,
   }
   const bool always_lying = mix.corruption_probability >= 1.0;
   const bool digest_visible = !mix.corruption_relative;
-  if (pure_corruption && always_lying && episode->byzantine_effective >= 1) {
-    if (episode->recovery.recovery_rounds != 0) {
-      episode->invariants.masking = false;
-      if (episode->failure.empty()) {
-        episode->failure =
-            "masking: " + std::to_string(episode->recovery.recovery_rounds) +
-            " recovery rounds despite guards covering the liars";
-      }
+  if (!pure_corruption || !always_lying || episode->byzantine_effective < 1) {
+    return;
+  }
+  InvariantSet& invariants = episode->invariants;
+  if (episode->recovery.recovery_rounds != 0) {
+    invariants.Fail("masking",
+                    std::to_string(episode->recovery.recovery_rounds) +
+                        " recovery rounds despite guards covering the liars");
+  }
+  // A crash episode whose final incarnation answered every query from the
+  // journal legitimately counts zero masked queries.
+  if (digest_visible && liars > 0 && final_gen_ran_queries &&
+      episode->recovery.byzantine_masked_queries == 0) {
+    invariants.Fail("masking", "no query was counted masked despite " +
+                                   std::to_string(liars) + " scripted liars");
+  }
+  if (!digest_visible) return;
+  for (const ChaosScheduledFault& fault : episode->schedule) {
+    if (protocol.reputation().standing(fault.device) !=
+        DeviceStanding::kQuarantined) {
+      invariants.Fail("quarantine", "scripted liar " +
+                                        std::to_string(fault.device) +
+                                        " was never quarantined");
+      break;
     }
-    if (digest_visible && liars > 0 && final_gen_ran_queries &&
-        episode->recovery.byzantine_masked_queries == 0) {
-      episode->invariants.masking = false;
-      if (episode->failure.empty()) {
-        episode->failure = "masking: no query was counted masked despite " +
-                           std::to_string(liars) + " scripted liars";
-      }
+  }
+}
+
+// The post-run check plain and crash episodes share. `answered[q]` is query
+// q's decoded answer (nullopt when it was never answered);
+// `final_gen_ran_queries` is false only on crash episodes whose final
+// incarnation answered every query from the journal.
+void CheckRun(const ChaosScenario& scenario,
+              FaultTolerantScecProtocol& protocol,
+              const std::vector<std::optional<std::vector<double>>>& answered,
+              bool final_gen_ran_queries, Sabotage sabotage,
+              ChaosEpisode* episode) {
+  InvariantSet& invariants = episode->invariants;
+  // decode: every answered query equals the ground truth A·x (within float
+  // round-off of the MatVec) — across a kill/restart too, whether the
+  // answer came from the live run, the journal or the resumed query.
+  for (size_t q = 0; q < answered.size(); ++q) {
+    if (!answered[q].has_value()) continue;
+    std::vector<double> decoded = *answered[q];
+    if (sabotage == Sabotage::kTamperResult && q == 0 && !decoded.empty()) {
+      decoded[0] += 1.0;
     }
-    if (digest_visible) {
-      for (const ChaosScheduledFault& fault : episode->schedule) {
-        if (protocol.reputation().standing(fault.device) !=
-            DeviceStanding::kQuarantined) {
-          episode->invariants.quarantine = false;
-          if (episode->failure.empty()) {
-            episode->failure = "quarantine: scripted liar " +
-                               std::to_string(fault.device) +
-                               " was never quarantined";
-          }
-          break;
-        }
-      }
+    const double err =
+        MaxAbsDiff(std::span<const double>(decoded),
+                   std::span<const double>(scenario.expected));
+    if (!(err < 1e-9)) {
+      invariants.Fail("decode",
+                      "query " + std::to_string(q) + " off by " + Num(err));
+      break;
     }
+  }
+
+  // security: every device's cumulative view stays Def. 2 ITS-secure after
+  // all recovery rounds and hedges (exact GF(2^61−1) ranks), checked
+  // outside the protocol's own asserts. After a restart the view spans this
+  // generation's segments AND every restored prior-generation pad column,
+  // so a replayed pad stream drops the rank here (restart_security).
+  if (!protocol.VerifyCumulativeSecurity().all_secure) {
+    if (episode->crash_fired) {
+      const std::string detail =
+          "cumulative view rank dropped across the restart";
+      invariants.Fail("security", detail);
+      invariants.Fail("restart_security", detail);
+    } else {
+      invariants.Fail("security", "cumulative view rank dropped");
+    }
+  }
+
+  episode->run = protocol.metrics();
+  episode->recovery = protocol.recovery_metrics();
+  if (sabotage == Sabotage::kForgeLedger) {
+    episode->run.query_downlink_bytes += 7;
+  }
+
+  if (scenario.mix.byzantine_tolerance > 0 && episode->outcome == "decoded") {
+    CheckByzantineInvariants(scenario.mix, protocol, final_gen_ran_queries,
+                             episode);
+  }
+  // ledger: the protocol's independent tallies agree (see CheckLedger).
+  // A crash generation that only served journaled answers has no
+  // per-device roll-up to balance.
+  if (final_gen_ran_queries) {
+    const std::string ledger =
+        CheckLedger(*episode, scenario.options.value_bytes);
+    if (!ledger.empty()) invariants.Fail("ledger", ledger);
   }
 }
 
@@ -396,21 +466,11 @@ std::vector<ChaosMix> DefaultChaosMixes() {
 }
 
 ChaosEpisode RunChaosEpisode(const ChaosConfig& config, size_t index,
-                             ChaosSabotage sabotage) {
-  const std::vector<ChaosMix> mixes =
-      config.mixes.empty() ? DefaultChaosMixes() : config.mixes;
-  const ChaosMix& mix = mixes[index % mixes.size()];
-
-  ChaosEpisode episode;
-  episode.index = index;
-  episode.seed = EpisodeSeed(config.seed, index);
-  episode.mix = mix.name;
-
+                             Sabotage sabotage) {
+  ChaosEpisode episode = NewEpisode(config, index, /*crash=*/false);
   Xoshiro256StarStar rng(episode.seed);
   ChaosScenario scenario;
-  if (!DeriveScenario(config, mix, rng, &episode, &scenario)) {
-    return episode;
-  }
+  if (!DeriveScenario(config, rng, &episode, &scenario)) return episode;
 
   FaultTolerantScecProtocol protocol(&*scenario.session, &scenario.a,
                                      scenario.problem.fleet.devices(),
@@ -418,105 +478,29 @@ ChaosEpisode RunChaosEpisode(const ChaosConfig& config, size_t index,
   protocol.Stage();
   episode.byzantine_effective = protocol.byzantine_tolerance_effective();
 
+  // liveness: the protocol terminates every query with an explicit outcome.
+  // Hangs are impossible by construction (the event queue drains), so this
+  // catches status-code regressions.
+  std::vector<std::optional<std::vector<double>>> answered(
+      config.queries_per_episode);
   episode.outcome = "decoded";
   for (size_t q = 0; q < config.queries_per_episode; ++q) {
-    const auto result = protocol.RunQuery(scenario.x);
-    if (!result.ok()) {
-      const ErrorCode code = result.status().code();
-      if (code == ErrorCode::kInfeasible) {
-        episode.outcome = "infeasible";
-      } else if (code == ErrorCode::kInternal) {
-        episode.outcome = "internal";
-      } else {
-        // Invariant 4: any other status is an unexpected termination mode.
-        episode.outcome = result.status().ToString();
-        episode.invariants.liveness = false;
-        episode.failure = "liveness: " + episode.outcome;
-      }
-      break;
-    }
-    // Invariant 1: the decoded query equals the ground truth A·x.
-    std::vector<double> decoded = *result;
-    if (sabotage == ChaosSabotage::kTamperResult && !decoded.empty()) {
-      decoded[0] += 1.0;
-    }
-    const double err =
-        MaxAbsDiff(std::span<const double>(decoded),
-                   std::span<const double>(scenario.expected));
-    if (!(err < 1e-9) && episode.invariants.decode) {
-      episode.invariants.decode = false;
-      episode.failure =
-          "decode: query " + std::to_string(q) + " off by " + Num(err);
-    }
+    auto result = protocol.RunQuery(scenario.x);
+    episode.outcome = QueryOutcome(result.status(), &episode.invariants);
+    if (!result.ok()) break;
+    answered[q] = std::move(result).value();
   }
-
-  // Invariant 2: cumulative Def. 2 ITS across every encoding round (base +
-  // recoveries + hedges), checked outside the protocol's own asserts.
-  if (!protocol.VerifyCumulativeSecurity().all_secure) {
-    episode.invariants.security = false;
-    if (episode.failure.empty()) {
-      episode.failure = "security: cumulative view rank dropped";
-    }
-  }
-
-  episode.run = protocol.metrics();
-  episode.recovery = protocol.recovery_metrics();
-  if (sabotage == ChaosSabotage::kForgeLedger) {
-    episode.run.query_downlink_bytes += 7;
-  }
-
-  if (mix.byzantine_tolerance > 0 && episode.outcome == "decoded") {
-    CheckByzantineInvariants(mix, protocol, /*final_gen_ran_queries=*/true,
-                             &episode);
-  }
-  // Invariant 3: the independent ledgers agree.
-  const std::string ledger = CheckLedger(episode, scenario.options.value_bytes);
-  if (!ledger.empty()) {
-    episode.invariants.ledger = false;
-    if (episode.failure.empty()) episode.failure = "ledger: " + ledger;
-  }
+  CheckRun(scenario, protocol, answered, /*final_gen_ran_queries=*/true,
+           sabotage, &episode);
   return episode;
 }
 
-ChaosSoakSummary RunChaosSoak(const ChaosConfig& config) {
-  ChaosSoakSummary summary;
-  summary.episodes = config.episodes;
-  summary.detail.reserve(config.episodes);
-  for (size_t i = 0; i < config.episodes; ++i) {
-    ChaosEpisode episode = RunChaosEpisode(config, i);
-    if (episode.ok()) {
-      ++summary.passed;
-    } else {
-      summary.failing.push_back(i);
-    }
-    if (episode.outcome == "decoded") {
-      ++summary.decoded;
-    } else if (episode.outcome == "infeasible") {
-      ++summary.infeasible;
-    } else if (episode.outcome == "internal") {
-      ++summary.internal;
-    }
-    summary.detail.push_back(std::move(episode));
-  }
-  return summary;
-}
-
 ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
-                             ChaosSabotage sabotage) {
-  const std::vector<ChaosMix> mixes =
-      config.mixes.empty() ? DefaultChaosMixes() : config.mixes;
-  const ChaosMix& mix = mixes[index % mixes.size()];
-
-  ChaosEpisode episode;
-  episode.index = index;
-  episode.seed = EpisodeSeed(config.seed, index);
-  episode.mix = mix.name;
-
+                             Sabotage sabotage) {
+  ChaosEpisode episode = NewEpisode(config, index, /*crash=*/true);
   Xoshiro256StarStar rng(episode.seed);
   ChaosScenario scenario;
-  if (!DeriveScenario(config, mix, rng, &episode, &scenario)) {
-    return episode;
-  }
+  if (!DeriveScenario(config, rng, &episode, &scenario)) return episode;
   // Drawn AFTER the scenario: the rng prefix above matches the plain
   // episode of the same (seed, index) draw for draw.
   episode.crash = DrawCrashSpec(rng, config.queries_per_episode);
@@ -543,22 +527,10 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
   std::unique_ptr<recovery::DurableCoordinator> coordinator;
   episode.outcome = "decoded";
 
-  // Maps one query result onto the episode outcome, mirroring the plain
-  // episode's status handling. Returns false on a terminal status.
+  // Records one query result; returns false on a terminal status.
   auto record = [&](size_t q, Result<std::vector<double>> result) -> bool {
-    if (!result.ok()) {
-      const ErrorCode code = result.status().code();
-      if (code == ErrorCode::kInfeasible) {
-        episode.outcome = "infeasible";
-      } else if (code == ErrorCode::kInternal) {
-        episode.outcome = "internal";
-      } else {
-        episode.outcome = result.status().ToString();
-        episode.invariants.liveness = false;
-        episode.failure = "liveness: " + episode.outcome;
-      }
-      return false;
-    }
+    episode.outcome = QueryOutcome(result.status(), &episode.invariants);
+    if (!result.ok()) return false;
     ++final_gen_queries;
     if (q < total_queries) answered[q] = std::move(result).value();
     return true;
@@ -575,8 +547,7 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
         scenario.problem.fleet.devices(), &snapshot, &journal_gen0, copts);
     if (!started.ok()) {
       episode.outcome = started.status().ToString();
-      episode.invariants.liveness = false;
-      episode.failure = "liveness: start failed: " + episode.outcome;
+      episode.invariants.Fail("liveness", "start failed: " + episode.outcome);
       return episode;
     }
     coordinator = std::move(started).value();
@@ -587,6 +558,9 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
   }
   episode.crash_fired = injector.fired();
 
+  // restart_decode: every query decodes exactly once to A·x across the
+  // kill/restart, whether the answer came from the live run, the journal
+  // (result committed pre-crash) or the resumed in-flight query.
   if (episode.crash_fired) {
     episode.generations = 2;
     // Destroy the dead coordinator BEFORE restarting: its event queue still
@@ -599,8 +573,8 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
         scenario.problem.fleet.devices(), &journal_gen1, copts);
     if (!restarted.ok()) {
       episode.outcome = restarted.status().ToString();
-      episode.invariants.restart_decode = false;
-      episode.failure = "restart_decode: restart failed: " + episode.outcome;
+      episode.invariants.Fail("restart_decode",
+                              "restart failed: " + episode.outcome);
       return episode;
     }
     coordinator = std::move(restarted).value();
@@ -611,12 +585,10 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
     for (const auto& [id, values] : coordinator->replay().completed) {
       if (id >= total_queries) continue;
       if (answered[id].has_value() && *answered[id] != values) {
-        episode.invariants.restart_decode = false;
-        if (episode.failure.empty()) {
-          episode.failure = "restart_decode: journal result for query " +
-                            std::to_string(id) +
-                            " disagrees with the live answer";
-        }
+        episode.invariants.Fail("restart_decode",
+                                "journal result for query " +
+                                    std::to_string(id) +
+                                    " disagrees with the live answer");
       }
       answered[id] = values;
     }
@@ -628,103 +600,42 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
     if (episode.outcome == "decoded") run_queries(next);
   }
 
-  // Invariant 1 (+ restart_decode): every answered query equals A·x.
-  for (size_t q = 0; q < total_queries; ++q) {
-    if (!answered[q].has_value()) continue;
-    std::vector<double> decoded = *answered[q];
-    if (sabotage == ChaosSabotage::kTamperResult && q == 0 &&
-        !decoded.empty()) {
-      decoded[0] += 1.0;
-    }
-    const double err =
-        MaxAbsDiff(std::span<const double>(decoded),
-                   std::span<const double>(scenario.expected));
-    if (!(err < 1e-9) && episode.invariants.decode) {
-      episode.invariants.decode = false;
-      episode.failure =
-          "decode: query " + std::to_string(q) + " off by " + Num(err);
-    }
-  }
+  CheckRun(scenario, coordinator->protocol(), answered,
+           final_gen_queries > 0, sabotage, &episode);
+
   if (episode.outcome == "decoded") {
     size_t answered_count = 0;
     for (const auto& ans : answered) answered_count += ans.has_value() ? 1 : 0;
     if (answered_count != total_queries) {
-      episode.invariants.restart_decode = false;
-      if (episode.failure.empty()) {
-        episode.failure = "restart_decode: only " +
-                          std::to_string(answered_count) + " of " +
-                          std::to_string(total_queries) +
-                          " queries were answered across the restart";
-      }
+      episode.invariants.Fail(
+          "restart_decode",
+          "only " + std::to_string(answered_count) + " of " +
+              std::to_string(total_queries) +
+              " queries were answered across the restart");
     }
   }
 
-  // Invariant 2 (+ restart_security): the final incarnation's cumulative
-  // Def. 2 view spans its own segments AND every restored prior-generation
-  // pad column — a replayed pad stream drops the extended rank here.
-  if (!coordinator->protocol().VerifyCumulativeSecurity().all_secure) {
-    episode.invariants.security = false;
-    if (episode.crash_fired) episode.invariants.restart_security = false;
-    if (episode.failure.empty()) {
-      episode.failure = "security: cumulative view rank dropped" +
-                        std::string(episode.crash_fired
-                                        ? " across the restart"
-                                        : "");
-    }
-  }
-
-  episode.run = coordinator->protocol().metrics();
-  episode.recovery = coordinator->protocol().recovery_metrics();
-  if (sabotage == ChaosSabotage::kForgeLedger) {
-    episode.run.query_downlink_bytes += 7;
-  }
-
-  if (mix.byzantine_tolerance > 0 && episode.outcome == "decoded") {
-    CheckByzantineInvariants(mix, coordinator->protocol(),
-                             final_gen_queries > 0, &episode);
-  }
-  // Invariant 3: the plain ledger identities hold for the final incarnation
-  // whenever it decoded at least one query itself (a generation that only
-  // served journaled answers has no per-device roll-up to balance).
-  if (final_gen_queries > 0) {
-    const std::string ledger =
-        CheckLedger(episode, scenario.options.value_bytes);
-    if (!ledger.empty()) {
-      episode.invariants.ledger = false;
-      if (episode.failure.empty()) episode.failure = "ledger: " + ledger;
-    }
-  }
-
-  // restart_ledger: the combined journal (gen-0 durable bytes + gen-1
-  // appends) must parse as one untorn stream and balance double-entry
-  // against the final incarnation's metrics.
+  // restart_ledger: the combined write-ahead journal (gen-0 durable bytes +
+  // gen-1 appends) parses as one untorn stream and balances double-entry
+  // against the final generation's metrics: every billed dispatch was
+  // journaled first, no (query, share) billed twice, one result per query.
   const std::string combined = journal_gen0.str() + journal_gen1.str();
   episode.journal_bytes = combined.size();
   episode.snapshot_bytes = snapshot.size();
   auto parsed = recovery::LoadJournal(combined);
   if (!parsed.ok()) {
-    episode.invariants.restart_ledger = false;
-    if (episode.failure.empty()) {
-      episode.failure =
-          "restart_ledger: combined journal unreadable: " +
-          parsed.status().ToString();
-    }
+    episode.invariants.Fail("restart_ledger",
+                            "combined journal unreadable: " +
+                                parsed.status().ToString());
   } else {
     episode.journal_events = parsed->events.size();
-    std::string audit;
-    if (parsed->torn_tail) {
-      audit = "combined journal has a torn tail (committed bytes must "
-              "always parse whole)";
-    } else {
-      audit = CheckCrashLedger(episode, parsed->events,
+    const std::string audit =
+        parsed->torn_tail
+            ? "combined journal has a torn tail (committed bytes must "
+              "always parse whole)"
+            : CheckCrashLedger(episode, parsed->events,
                                scenario.options.value_bytes);
-    }
-    if (!audit.empty()) {
-      episode.invariants.restart_ledger = false;
-      if (episode.failure.empty()) {
-        episode.failure = "restart_ledger: " + audit;
-      }
-    }
+    if (!audit.empty()) episode.invariants.Fail("restart_ledger", audit);
   }
 
   if (!config.crash_artifacts_dir.empty()) {
@@ -742,29 +653,6 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
     if (journal_os.good()) episode.journal_path = base + "_journal.bin";
   }
   return episode;
-}
-
-ChaosSoakSummary RunCrashSoak(const ChaosConfig& config) {
-  ChaosSoakSummary summary;
-  summary.episodes = config.episodes;
-  summary.detail.reserve(config.episodes);
-  for (size_t i = 0; i < config.episodes; ++i) {
-    ChaosEpisode episode = RunCrashEpisode(config, i);
-    if (episode.ok()) {
-      ++summary.passed;
-    } else {
-      summary.failing.push_back(i);
-    }
-    if (episode.outcome == "decoded") {
-      ++summary.decoded;
-    } else if (episode.outcome == "infeasible") {
-      ++summary.infeasible;
-    } else if (episode.outcome == "internal") {
-      ++summary.internal;
-    }
-    summary.detail.push_back(std::move(episode));
-  }
-  return summary;
 }
 
 std::string CheckCrashLedger(const ChaosEpisode& episode,
@@ -877,7 +765,7 @@ std::string CheckCrashLedger(const ChaosEpisode& episode,
   return "";
 }
 
-std::string DescribeSchedule(const ChaosEpisode& episode) {
+std::string Describe(const ChaosEpisode& episode) {
   std::ostringstream os;
   os << "episode " << episode.index << " seed=" << episode.seed << " mix="
      << episode.mix << " m=" << episode.m << " l=" << episode.l
@@ -923,21 +811,6 @@ std::string DescribeSchedule(const ChaosEpisode& episode) {
     }
   }
   return os.str();
-}
-
-std::string ReproCommand(const ChaosConfig& config,
-                         const ChaosEpisode& episode) {
-  if (episode.crash.point != recovery::CrashPoint::kNone) {
-    std::string cmd = "bench/chaos_soak --seed=" +
-                      std::to_string(config.seed) +
-                      " --crash-replay=" + std::to_string(episode.index);
-    if (!config.crash_artifacts_dir.empty()) {
-      cmd += " --crash-artifacts-dir=" + config.crash_artifacts_dir;
-    }
-    return cmd;
-  }
-  return "bench/chaos_soak --seed=" + std::to_string(config.seed) +
-         " --replay=" + std::to_string(episode.index);
 }
 
 }  // namespace scec::sim

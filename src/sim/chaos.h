@@ -1,44 +1,19 @@
 // SPDX-License-Identifier: MIT
 //
-// Deterministic chaos-soak harness for the fault-tolerant SCEC runtime.
+// Deterministic chaos harness for the fault-tolerant SCEC runtime, on the
+// shared episode skeleton of sim/episode.h.
 //
-// A soak runs many independent EPISODES. Each episode derives every random
-// choice — problem shape, fleet, fault schedule, straggler/loss knobs — from
-// a single SplitMix64-derived seed, builds a fresh deployment, runs queries
-// through FaultTolerantScecProtocol, and checks four invariants:
+// Each episode derives its problem shape, fleet, fault schedule and
+// straggler/loss knobs from its episode seed, builds a fresh deployment and
+// runs queries through FaultTolerantScecProtocol ("protocol" harness), or
+// through a DurableCoordinator that is killed at a seeded crash point and
+// restarted from its sealed snapshot + journal ("crash" harness). Both run
+// one shared post-run check; the invariants are documented where they are
+// checked, in chaos.cpp:
 //
-//   1. decode    — every successfully answered query equals A·x exactly
-//                  (within float round-off of the ground-truth MatVec);
-//   2. security  — every device's cumulative view stays Def. 2 ITS-secure
-//                  after all recovery rounds and hedges (exact GF(2^61−1)
-//                  ranks via VerifyCumulativeSecurity);
-//   3. ledger    — the protocol's independent tallies agree: uplink bytes ==
-//                  dispatches × l × value_bytes, downlink bytes == response
-//                  values × value_bytes, and the per-device Eq. (1) identity
-//                  mults·(l−1) == adds·l holds; staging bytes match the
-//                  coded rows actually delivered (skipped when a lossy link
-//                  aborted a hedge staging, which legitimately breaks the
-//                  byte/row correspondence);
-//   4. liveness  — the protocol terminates with an explicit outcome:
-//                  decoded, kInfeasible (fleet collapsed below k = 2) or
-//                  kInternal (recovery budget exhausted). Hangs are
-//                  impossible by construction (the event queue drains), so
-//                  this invariant catches status-code regressions.
-//
-// Byzantine mixes (byzantine_tolerance > 0) add two more:
-//
-//   5. masking    — with guards provisioned and ≤ t always-lying scripted
-//                   liars, every query decodes exactly with ZERO recovery
-//                   re-plans (single-round masking);
-//   6. quarantine — every always-lying digest-visible scripted liar ends the
-//                   episode quarantined by the reputation tracker.
-//
-// Episodes are REPLAYABLE: a failing episode's master seed + index fully
-// determine its schedule, and ReproCommand() prints the one-command repro
-// (bench/chaos_soak --seed=… --replay=…). Sabotage hooks deliberately break
-// an invariant on an otherwise-healthy episode so tests can prove the
-// harness actually catches violations (a soak that can't fail is not a
-// check).
+//   protocol  decode, security, ledger, liveness, masking, quarantine
+//   crash     the six above + restart_decode, restart_security,
+//             restart_ledger
 
 #pragma once
 
@@ -47,6 +22,7 @@
 #include <vector>
 
 #include "recovery/crash.h"
+#include "sim/episode.h"
 #include "sim/fault_tolerant_protocol.h"
 #include "sim/faults.h"
 
@@ -103,20 +79,11 @@ struct ChaosConfig {
   double backoff_jitter = 0.2;  // exercises the seeded-jitter path
   FaultToleranceOptions ft;     // base options; per-mix toggles override
 
-  // Crash-injected episodes (RunCrashEpisode/RunCrashSoak) write each
+  // Crash-injected episodes (RunCrashEpisode) write each
   // episode's sealed snapshot + combined journal here when set, so a
   // failing episode is reproducible from its durable artifacts alone.
   // Sealed bytes only — pads never reach the disk in plaintext.
   std::string crash_artifacts_dir;
-};
-
-// Deliberately corrupt one invariant input AFTER the episode ran, on copies
-// — the protocol itself is untouched. Used by the negative tests that prove
-// the harness detects violations.
-enum class ChaosSabotage {
-  kNone,
-  kTamperResult,  // flip one decoded value  -> decode invariant must trip
-  kForgeLedger,   // inflate downlink bytes  -> ledger invariant must trip
 };
 
 // One scripted fault of an episode's schedule (printable for repro).
@@ -132,46 +99,8 @@ struct ChaosScheduledFault {
   bool equivocate = false;
 };
 
-// Per-invariant verdicts; all true on a healthy episode.
-struct ChaosInvariants {
-  bool decode = true;
-  bool security = true;
-  bool ledger = true;
-  bool liveness = true;
-  // Byzantine invariants (trivially true off the byzantine mixes):
-  //   masking    — with guards provisioned and ≤ t always-lying scripted
-  //                liars, every query decodes with ZERO recovery re-plans
-  //                (and, for digest-visible liars, is counted masked);
-  //   quarantine — every always-lying, digest-visible scripted liar ends
-  //                the episode quarantined.
-  bool masking = true;
-  bool quarantine = true;
-  // Crash-recovery invariants (trivially true off crash-injected episodes):
-  //   restart_decode   — every query decodes exactly once to A·x across the
-  //                      kill/restart, whether the answer came from the live
-  //                      run, the journal (result committed pre-crash), or
-  //                      the resumed in-flight query;
-  //   restart_security — the restarted coordinator's cumulative Def. 2 view
-  //                      (this generation's segments PLUS every restored
-  //                      prior-generation pad column) stays ITS-secure: no
-  //                      pad stream is ever replayed across a restart;
-  //   restart_ledger   — the combined write-ahead journal balances against
-  //                      the final generation's metrics double-entry style:
-  //                      every billed dispatch was journaled first, no
-  //                      (query, share) billed twice, one result per query.
-  bool restart_decode = true;
-  bool restart_security = true;
-  bool restart_ledger = true;
-  bool AllHold() const {
-    return decode && security && ledger && liveness && masking &&
-           quarantine && restart_decode && restart_security && restart_ledger;
-  }
-};
-
-struct ChaosEpisode {
-  // Identity + derived scenario.
-  size_t index = 0;
-  uint64_t seed = 0;  // derived episode seed
+struct ChaosEpisode : EpisodeRecord {
+  // Derived scenario.
   std::string mix;
   size_t m = 0;
   size_t l = 0;
@@ -197,63 +126,35 @@ struct ChaosEpisode {
   std::string snapshot_path;  // set when ChaosConfig::crash_artifacts_dir is
   std::string journal_path;   // configured and the write succeeded
 
-  // Outcome.
-  std::string outcome;  // "decoded" | "infeasible" | "internal" | error text
-  ChaosInvariants invariants;
-  std::string failure;  // first violated invariant + detail; empty if ok
   RunMetrics run;
   FaultRecoveryMetrics recovery;
-
-  bool ok() const { return invariants.AllHold(); }
 };
 
-struct ChaosSoakSummary {
-  size_t episodes = 0;
-  size_t passed = 0;
-  size_t decoded = 0;
-  size_t infeasible = 0;
-  size_t internal = 0;
-  std::vector<ChaosEpisode> detail;   // every episode, in order
-  std::vector<size_t> failing;        // indices into `detail`
-  bool ok() const { return failing.empty() && episodes > 0; }
-};
-
-// Runs episode `index` of the soak described by `config`, deterministically.
+// Runs episode `index` of the soak described by `config`, deterministically
+// (the "protocol" harness).
 ChaosEpisode RunChaosEpisode(const ChaosConfig& config, size_t index,
-                             ChaosSabotage sabotage = ChaosSabotage::kNone);
+                             Sabotage sabotage = Sabotage::kNone);
 
-// Runs the full soak. Stops at nothing: every episode executes and failing
-// ones are collected (seed + schedule) for repro.
-ChaosSoakSummary RunChaosSoak(const ChaosConfig& config);
-
-// Crash-injected episode: the SAME derived scenario as RunChaosEpisode(
-// config, index), but run through a DurableCoordinator with a crash point
-// drawn from the episode seed. When the injector fires, the coordinator is
-// destroyed mid-flight and restarted from its sealed snapshot + surviving
-// journal bytes; the episode then checks the three restart invariants on
-// top of the usual six. A drawn point that is never reached (e.g. kOnEvict
-// on a fault-free episode) leaves the episode uncrashed — still checked.
+// Crash-injected episode (the "crash" harness): the SAME derived scenario as
+// RunChaosEpisode(config, index), but run through a DurableCoordinator with
+// a crash point drawn from the episode seed. When the injector fires, the
+// coordinator is destroyed mid-flight and restarted from its sealed
+// snapshot + surviving journal bytes. A drawn point that is never reached
+// (e.g. kOnEvict on a fault-free episode) leaves the episode uncrashed —
+// still checked.
 ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
-                             ChaosSabotage sabotage = ChaosSabotage::kNone);
+                             Sabotage sabotage = Sabotage::kNone);
 
-// Full kill/restart soak over crash-injected episodes.
-ChaosSoakSummary RunCrashSoak(const ChaosConfig& config);
-
-// The exactly-once cost audit behind ChaosInvariants::restart_ledger,
-// exposed so negative tests can prove a doctored journal (duplicate result
-// record, re-billed share, forged dispatch bytes) is caught. `events` is
-// the parsed combined journal; episode supplies the final generation's
-// metrics. Returns the first violation, or "" when the ledger balances.
+// The exactly-once cost audit behind the restart_ledger invariant, exposed
+// so negative tests can prove a doctored journal (duplicate result record,
+// re-billed share, forged dispatch bytes) is caught. `events` is the parsed
+// combined journal; episode supplies the final generation's metrics.
+// Returns the first violation, or "" when the ledger balances.
 std::string CheckCrashLedger(const ChaosEpisode& episode,
                              const std::vector<recovery::JournalEvent>& events,
                              double value_bytes);
 
-// Human-readable schedule of one episode (one line per scripted fault plus
-// the scenario header).
-std::string DescribeSchedule(const ChaosEpisode& episode);
-
-// One-command repro for a failing episode.
-std::string ReproCommand(const ChaosConfig& config,
-                         const ChaosEpisode& episode);
+// Scenario header plus one line per scripted fault (and the crash point).
+std::string Describe(const ChaosEpisode& episode);
 
 }  // namespace scec::sim

@@ -26,17 +26,6 @@ using serve::RejectReason;
 using serve::ServeCoordinator;
 using serve::ServeOptions;
 
-uint64_t EpisodeSeed(uint64_t master, size_t index) {
-  SplitMix64 mix(master ^ (0x9E3779B97F4A7C15ull * (index + 1)));
-  return mix.Next();
-}
-
-size_t DrawInRange(Xoshiro256StarStar& rng, size_t lo, size_t hi) {
-  SCEC_CHECK_LE(lo, hi);
-  return lo + static_cast<size_t>(rng.NextDouble() * double(hi - lo + 1)) %
-                  (hi - lo + 1);
-}
-
 // Order-sensitive FNV-style combine for the determinism fingerprint.
 uint64_t Combine(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
@@ -136,10 +125,13 @@ std::vector<OverloadMix> DefaultOverloadMixes() {
 }
 
 OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
-                                   OverloadSabotage sabotage) {
+                                   Sabotage sabotage) {
   OverloadEpisode episode;
   episode.index = index;
   episode.seed = EpisodeSeed(config.seed, index);
+  episode.invariants = InvariantSet(
+      {"decode", "shed_accounting", "no_metastability", "liveness"});
+  InvariantSet& invariants = episode.invariants;
 
   const std::vector<OverloadMix> mixes =
       config.mixes.empty() ? DefaultOverloadMixes() : config.mixes;
@@ -248,8 +240,6 @@ OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
   std::unordered_map<uint64_t, std::pair<uint64_t, std::vector<double>>>
       inflight;  // ticket -> (tenant, x)
   uint64_t fingerprint = 0;
-  bool decode_ok = true;
-  std::string decode_failure;
   double free_at = 0.0;  // virtual server busy horizon
 
   auto in_brownout = [&](double now) {
@@ -281,28 +271,19 @@ OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
       }
       auto it = inflight.find(c.ticket);
       SCEC_CHECK(it != inflight.end());
-      if (decode_ok) {
+      // decode: every SERVED completion equals the tenant session's scalar
+      // Serve(x) exactly — the coalesced panel path may never trade
+      // correctness for goodput, at any ladder rung.
+      if (invariants.Holds("decode")) {
         std::vector<double> result = c.result;
-        if (sabotage == OverloadSabotage::kTamperResult && !result.empty()) {
+        if (sabotage == Sabotage::kTamperResult && !result.empty()) {
           result[0] += 1.0;  // accounting-side tamper: decode must notice
         }
-        const std::vector<double> expected =
-            reference.at(it->second.first).Serve(it->second.second);
-        if (result.size() != expected.size()) {
-          decode_ok = false;
-        } else {
-          for (size_t r = 0; r < expected.size(); ++r) {
-            if (result[r] != expected[r]) {
-              decode_ok = false;
-              break;
-            }
-          }
-        }
-        if (!decode_ok) {
-          std::ostringstream os;
-          os << "decode: ticket " << c.ticket << " of tenant "
-             << it->second.first << " differs from scalar Serve";
-          decode_failure = os.str();
+        if (result != reference.at(it->second.first).Serve(it->second.second)) {
+          invariants.Fail("decode", "ticket " + std::to_string(c.ticket) +
+                                        " of tenant " +
+                                        std::to_string(it->second.first) +
+                                        " differs from scalar Serve");
         }
       }
       inflight.erase(it);
@@ -368,7 +349,7 @@ OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
 
   // --- Sabotage (accounting copies only) -----------------------------------
   uint64_t served_acc = episode.served;
-  if (sabotage == OverloadSabotage::kDropCompletion && served_acc > 0) {
+  if (sabotage == Sabotage::kDropCompletion && served_acc > 0) {
     --served_acc;  // pretend one completion vanished: accounting must trip
   }
 
@@ -380,92 +361,61 @@ OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
       ((1.0 - config.settle_fraction) * config.recovery_s);
 
   // --- Invariants ----------------------------------------------------------
-  auto fail = [&](const std::string& detail) {
-    if (episode.failure.empty()) episode.failure = detail;
-  };
-
-  episode.invariants.decode = decode_ok;
-  if (!decode_ok) fail(decode_failure);
-
+  // shed_accounting: every submission is accounted for exactly once —
+  // attempts == admitted + rejected, and admitted == served + explicitly
+  // shed, cross-checked against the coordinator's own counters. Nothing is
+  // ever silently dropped.
   {
     std::ostringstream os;
-    bool ok = true;
     if (episode.attempts != episode.admitted + episode.rejected) {
-      os << "shed_accounting: attempts " << episode.attempts
-         << " != admitted " << episode.admitted << " + rejected "
-         << episode.rejected;
-      ok = false;
+      os << "attempts " << episode.attempts << " != admitted "
+         << episode.admitted << " + rejected " << episode.rejected;
     } else if (episode.admitted != served_acc + episode.shed) {
-      os << "shed_accounting: admitted " << episode.admitted << " != served "
-         << served_acc << " + shed " << episode.shed;
-      ok = false;
+      os << "admitted " << episode.admitted << " != served " << served_acc
+         << " + shed " << episode.shed;
     } else if (coordinator.submitted() != episode.admitted ||
                coordinator.rejected() != episode.rejected ||
                coordinator.completed() != served_acc ||
                coordinator.shed() != episode.shed) {
-      os << "shed_accounting: coordinator counters (submitted "
-         << coordinator.submitted() << ", rejected " << coordinator.rejected()
-         << ", completed " << coordinator.completed() << ", shed "
-         << coordinator.shed() << ") disagree with the driver tally";
-      ok = false;
+      os << "coordinator counters (submitted " << coordinator.submitted()
+         << ", rejected " << coordinator.rejected() << ", completed "
+         << coordinator.completed() << ", shed " << coordinator.shed()
+         << ") disagree with the harness tally";
     } else if (!inflight.empty()) {
-      os << "shed_accounting: " << inflight.size()
-         << " admitted tickets never completed or shed";
-      ok = false;
+      os << inflight.size() << " admitted tickets never completed or shed";
     }
-    episode.invariants.shed_accounting = ok;
-    if (!ok) fail(os.str());
+    if (!os.str().empty()) invariants.Fail("shed_accounting", os.str());
   }
 
-  {
-    const double floor = config.goodput_floor * episode.baseline_goodput;
-    const bool ok = episode.recovery_goodput >= floor;
-    episode.invariants.no_metastability = ok;
-    if (!ok) {
-      std::ostringstream os;
-      os << "no_metastability: recovery goodput " << episode.recovery_goodput
-         << " qps < " << config.goodput_floor << " x baseline "
-         << episode.baseline_goodput << " qps";
-      fail(os.str());
-    }
-  }
-
-  {
-    bool ok = true;
+  // no_metastability: recovery-phase goodput (measured after a bounded
+  // settle window) returns to >= goodput_floor x baseline goodput — the
+  // overload must END when the load does.
+  if (episode.recovery_goodput <
+      config.goodput_floor * episode.baseline_goodput) {
     std::ostringstream os;
-    if (coordinator.QueueDepth() != 0) {
-      os << "liveness: " << coordinator.QueueDepth()
-         << " tickets still queued after the final flush";
-      ok = false;
-    } else if (coordinator.governor().level() != OverloadLevel::kNormal) {
-      os << "liveness: ladder still at "
-         << OverloadLevelName(coordinator.governor().level())
-         << " after load dropped and queues drained";
-      ok = false;
-    }
-    episode.invariants.liveness = ok;
-    if (!ok) fail(os.str());
+    os << "recovery goodput " << episode.recovery_goodput << " qps < "
+       << config.goodput_floor << " x baseline " << episode.baseline_goodput
+       << " qps";
+    invariants.Fail("no_metastability", os.str());
+  }
+
+  // liveness: the queue is empty after the final flush and the ladder has
+  // returned to kNormal by episode end.
+  if (coordinator.QueueDepth() != 0) {
+    invariants.Fail("liveness", std::to_string(coordinator.QueueDepth()) +
+                                    " tickets still queued after the final "
+                                    "flush");
+  } else if (coordinator.governor().level() != OverloadLevel::kNormal) {
+    invariants.Fail("liveness",
+                    std::string("ladder still at ") +
+                        OverloadLevelName(coordinator.governor().level()) +
+                        " after load dropped and queues drained");
   }
 
   return episode;
 }
 
-OverloadSoakSummary RunOverloadSoak(const OverloadConfig& config) {
-  OverloadSoakSummary summary;
-  summary.episodes = config.episodes;
-  summary.detail.reserve(config.episodes);
-  for (size_t i = 0; i < config.episodes; ++i) {
-    summary.detail.push_back(RunOverloadEpisode(config, i));
-    if (summary.detail.back().ok()) {
-      ++summary.passed;
-    } else {
-      summary.failing.push_back(i);
-    }
-  }
-  return summary;
-}
-
-std::string DescribeOverloadEpisode(const OverloadEpisode& episode) {
+std::string Describe(const OverloadEpisode& episode) {
   std::ostringstream os;
   os << "episode " << episode.index << " seed=" << episode.seed << " mix="
      << episode.mix << " tenants=" << episode.tenants << " m=" << episode.m
@@ -485,15 +435,7 @@ std::string DescribeOverloadEpisode(const OverloadEpisode& episode) {
               static_cast<RejectReason>(r))
        << "]=" << episode.rejected_by_reason[r];
   }
-  if (!episode.failure.empty()) os << "\n  FAILURE: " << episode.failure;
-  return os.str();
-}
-
-std::string OverloadReproCommand(const OverloadConfig& config,
-                                 const OverloadEpisode& episode) {
-  std::ostringstream os;
-  os << "bench/chaos_soak --seed=" << config.seed
-     << " --overload-replay=" << episode.index;
+  os << "\n";
   return os.str();
 }
 

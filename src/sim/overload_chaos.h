@@ -1,15 +1,14 @@
 // SPDX-License-Identifier: MIT
 //
-// Deterministic overload-chaos harness for the serving tier: the sim/chaos.h
-// pattern (seeded episodes, invariants, sabotage negatives, one-command
-// repro) pointed at ServeCoordinator's overload-protection layer instead of
-// the fault-tolerant protocol.
+// Deterministic overload-chaos harness for the serving tier (the "overload"
+// harness of sim/episode.h), pointed at ServeCoordinator's overload
+// protection layer instead of the fault-tolerant protocol.
 //
-// Each episode derives a multi-tenant serving scenario from one
-// SplitMix64-derived seed — tenant worlds, arrival traces, protection knobs
-// — and replays a three-phase open-loop trace against a coordinator with
-// the full protection stack on (quotas, deadline shedding, brownout
-// breaker, degradation ladder) over a single virtual server:
+// Each episode derives a multi-tenant serving scenario from its episode
+// seed — tenant worlds, arrival traces, protection knobs — and replays a
+// three-phase open-loop trace against a coordinator with the full
+// protection stack on (quotas, deadline shedding, brownout breaker,
+// degradation ladder) over a single virtual server:
 //
 //   baseline   offered load at `utilization` x capacity — the healthy
 //              goodput yardstick;
@@ -27,27 +26,10 @@
 // bit-identical across SCEC_THREADS and pool sizes (the determinism test
 // fingerprints completions across thread counts).
 //
-// Invariants, all checked per episode:
-//
-//   1. decode           — every SERVED completion equals the tenant
-//                         session's scalar Serve(x) exactly (the coalesced
-//                         panel path may never trade correctness for
-//                         goodput, at any ladder rung);
-//   2. shed_accounting  — every submission is accounted for exactly once:
-//                         attempts == admitted + rejected, and admitted ==
-//                         served + explicitly shed, cross-checked against
-//                         the coordinator's own counters. Nothing is ever
-//                         silently dropped;
-//   3. no_metastability — recovery-phase goodput (measured after a bounded
-//                         settle window) returns to >= `goodput_floor` x
-//                         baseline goodput: the overload must END when the
-//                         load does;
-//   4. liveness         — the queue is empty after the final flush and the
-//                         ladder has returned to kNormal by episode end.
-//
-// Sabotage hooks corrupt the EPISODE'S ACCOUNTING after the run (the
-// coordinator itself is untouched) so negative tests can prove the harness
-// detects violations.
+// Invariants (documented where overload_chaos.cpp checks them): decode,
+// shed_accounting, no_metastability, liveness. Sabotage (kTamperResult,
+// kDropCompletion) corrupts the episode's accounting after the run; the
+// coordinator itself is untouched.
 
 #pragma once
 
@@ -58,6 +40,7 @@
 #include "common/thread_pool.h"
 #include "serve/admission.h"
 #include "serve/overload.h"
+#include "sim/episode.h"
 
 namespace scec::sim {
 
@@ -117,28 +100,8 @@ struct OverloadConfig {
   ThreadPool* pool = nullptr;      // panel pool; null -> ThreadPool::Shared()
 };
 
-// Corrupt one invariant input AFTER the episode ran (accounting copies only)
-// — negative tests prove the harness catches violations.
-enum class OverloadSabotage {
-  kNone,
-  kTamperResult,     // flip one served value   -> decode must trip
-  kDropCompletion,   // hide one completion     -> shed_accounting must trip
-};
-
-struct OverloadInvariants {
-  bool decode = true;
-  bool shed_accounting = true;
-  bool no_metastability = true;
-  bool liveness = true;
-  bool AllHold() const {
-    return decode && shed_accounting && no_metastability && liveness;
-  }
-};
-
-struct OverloadEpisode {
-  // Identity + derived scenario.
-  size_t index = 0;
-  uint64_t seed = 0;
+struct OverloadEpisode : EpisodeRecord {
+  // Derived scenario.
   std::string mix;
   size_t tenants = 0;
   size_t m = 0;
@@ -166,34 +129,13 @@ struct OverloadEpisode {
   // Order-sensitive digest of every completion (ticket, shed flag, phase) —
   // the cross-thread determinism check compares these.
   uint64_t fingerprint = 0;
-
-  OverloadInvariants invariants;
-  std::string failure;  // first violated invariant + detail; empty if ok
-
-  bool ok() const { return invariants.AllHold(); }
-};
-
-struct OverloadSoakSummary {
-  size_t episodes = 0;
-  size_t passed = 0;
-  std::vector<OverloadEpisode> detail;
-  std::vector<size_t> failing;  // indices into `detail`
-  bool ok() const { return failing.empty() && episodes > 0; }
 };
 
 // Runs episode `index` of the soak described by `config`, deterministically.
 OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
-                                   OverloadSabotage sabotage =
-                                       OverloadSabotage::kNone);
+                                   Sabotage sabotage = Sabotage::kNone);
 
-// Runs the full soak; failing episodes are collected for repro, never skipped.
-OverloadSoakSummary RunOverloadSoak(const OverloadConfig& config);
-
-// Scenario header + phase goodputs of one episode, human-readable.
-std::string DescribeOverloadEpisode(const OverloadEpisode& episode);
-
-// One-command repro for a failing episode.
-std::string OverloadReproCommand(const OverloadConfig& config,
-                                 const OverloadEpisode& episode);
+// Scenario header, accounting and phase goodputs of one episode.
+std::string Describe(const OverloadEpisode& episode);
 
 }  // namespace scec::sim

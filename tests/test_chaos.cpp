@@ -1,8 +1,8 @@
 // SPDX-License-Identifier: MIT
 //
-// Deterministic chaos-soak harness (sim/chaos.h): episodes are replayable
-// bit-for-bit from (seed, index), a small soak passes all four invariants,
-// and the sabotage hooks prove the harness actually catches violations.
+// Deterministic chaos harness (sim/chaos.h): episodes are replayable
+// bit-for-bit from (seed, index), a small soak passes every invariant, and
+// the sabotage hooks prove the harness actually catches violations.
 
 #include "sim/chaos.h"
 
@@ -39,19 +39,20 @@ size_t FirstDecodedEpisode(const ChaosConfig& config) {
 
 TEST(ChaosSoak, SmallSoakHoldsAllInvariants) {
   const ChaosConfig config = SmallConfig();
-  const ChaosSoakSummary summary = RunChaosSoak(config);
+  const auto summary = RunSoak(config, RunChaosEpisode);
   EXPECT_TRUE(summary.ok());
-  EXPECT_EQ(summary.episodes, config.episodes);
-  EXPECT_EQ(summary.passed, config.episodes);
+  EXPECT_EQ(summary.episodes(), config.episodes);
+  EXPECT_EQ(summary.passed(), config.episodes);
   EXPECT_TRUE(summary.failing.empty());
   // Liveness: every episode ended in an explicit outcome.
-  EXPECT_EQ(summary.decoded + summary.infeasible + summary.internal,
-            summary.episodes);
-  EXPECT_GT(summary.decoded, 0u);
+  EXPECT_EQ(summary.Count("decoded") + summary.Count("infeasible") +
+                summary.Count("internal"),
+            summary.episodes());
+  EXPECT_GT(summary.Count("decoded"), 0u);
   for (const ChaosEpisode& episode : summary.detail) {
     EXPECT_TRUE(episode.invariants.AllHold())
-        << DescribeSchedule(episode) << episode.failure;
-    EXPECT_TRUE(episode.failure.empty()) << episode.failure;
+        << Describe(episode) << episode.failure();
+    EXPECT_TRUE(episode.failure().empty()) << episode.failure();
   }
 }
 
@@ -66,7 +67,7 @@ TEST(ChaosSoak, EpisodesReplayBitForBit) {
     EXPECT_EQ(first.seed, second.seed);
     EXPECT_EQ(first.mix, second.mix);
     EXPECT_EQ(first.outcome, second.outcome);
-    EXPECT_EQ(DescribeSchedule(first), DescribeSchedule(second));
+    EXPECT_EQ(Describe(first), Describe(second));
     EXPECT_EQ(ToJson(first.run), ToJson(second.run)) << "episode " << index;
     EXPECT_EQ(ToJson(first.recovery), ToJson(second.recovery))
         << "episode " << index;
@@ -79,7 +80,7 @@ TEST(ChaosSoak, DistinctSeedsProduceDistinctSchedules) {
   config.seed = 8;
   const ChaosEpisode b = RunChaosEpisode(config, 0);
   EXPECT_NE(a.seed, b.seed);
-  EXPECT_NE(DescribeSchedule(a), DescribeSchedule(b))
+  EXPECT_NE(Describe(a), Describe(b))
       << "seed must reshape the scenario, not just relabel it";
 }
 
@@ -89,33 +90,36 @@ TEST(ChaosSoak, TamperSabotageTripsTheDecodeInvariant) {
   const ChaosConfig config = SmallConfig();
   const size_t index = FirstDecodedEpisode(config);
   const ChaosEpisode episode =
-      RunChaosEpisode(config, index, ChaosSabotage::kTamperResult);
+      RunChaosEpisode(config, index, Sabotage::kTamperResult);
   EXPECT_FALSE(episode.ok());
-  EXPECT_FALSE(episode.invariants.decode);
-  EXPECT_NE(episode.failure.find("decode"), std::string::npos)
-      << episode.failure;
+  EXPECT_FALSE(episode.invariants.Holds("decode"));
+  EXPECT_NE(episode.failure().find("decode"), std::string::npos)
+      << episode.failure();
 }
 
 TEST(ChaosSoak, ForgedLedgerTripsTheLedgerInvariant) {
   const ChaosConfig config = SmallConfig();
   const size_t index = FirstDecodedEpisode(config);
   const ChaosEpisode episode =
-      RunChaosEpisode(config, index, ChaosSabotage::kForgeLedger);
+      RunChaosEpisode(config, index, Sabotage::kForgeLedger);
   EXPECT_FALSE(episode.ok());
-  EXPECT_FALSE(episode.invariants.ledger);
-  EXPECT_TRUE(episode.invariants.decode)
+  EXPECT_FALSE(episode.invariants.Holds("ledger"));
+  EXPECT_TRUE(episode.invariants.Holds("decode"))
       << "sabotage is surgical: only the ledger is forged";
-  EXPECT_NE(episode.failure.find("ledger"), std::string::npos)
-      << episode.failure;
+  EXPECT_NE(episode.failure().find("ledger"), std::string::npos)
+      << episode.failure();
 }
 
 TEST(ChaosSoak, ReproCommandNamesSeedAndIndex) {
   const ChaosConfig config = SmallConfig();
   const ChaosEpisode episode = RunChaosEpisode(config, 5);
-  const std::string repro = ReproCommand(config, episode);
+  const std::string repro = ReproCommand("protocol", config.seed, 5);
+  EXPECT_NE(repro.find("--harness=protocol"), std::string::npos) << repro;
   EXPECT_NE(repro.find("--seed=7"), std::string::npos) << repro;
   EXPECT_NE(repro.find("--replay=5"), std::string::npos) << repro;
-  const std::string schedule = DescribeSchedule(episode);
+  const std::string report = EpisodeReport(episode, "protocol", config.seed);
+  EXPECT_NE(report.find(repro), std::string::npos) << report;
+  const std::string schedule = Describe(episode);
   EXPECT_NE(schedule.find("mix=" + episode.mix), std::string::npos)
       << schedule;
 }
@@ -172,14 +176,14 @@ TEST(ChaosSoak, ByzantineEpisodesMaskAndQuarantineScriptedLiars) {
   config.seed = 11;
   config.episodes = 39;  // three passes over the 13 default mixes
   config.queries_per_episode = 2;
-  const ChaosSoakSummary summary = RunChaosSoak(config);
+  const auto summary = RunSoak(config, RunChaosEpisode);
   EXPECT_TRUE(summary.ok());
   bool any_guarded = false;
   bool any_masked = false;
   bool any_quarantined = false;
   for (const ChaosEpisode& episode : summary.detail) {
-    EXPECT_TRUE(episode.invariants.masking) << DescribeSchedule(episode);
-    EXPECT_TRUE(episode.invariants.quarantine) << DescribeSchedule(episode);
+    EXPECT_TRUE(episode.invariants.Holds("masking")) << Describe(episode);
+    EXPECT_TRUE(episode.invariants.Holds("quarantine")) << Describe(episode);
     if (episode.byzantine_tolerance == 0) {
       EXPECT_EQ(episode.byzantine_effective, 0u);
       continue;
@@ -194,7 +198,7 @@ TEST(ChaosSoak, ByzantineEpisodesMaskAndQuarantineScriptedLiars) {
 }
 
 TEST(ChaosSoak, EmptySoakIsNotOk) {
-  ChaosSoakSummary summary;
+  SoakSummary<ChaosEpisode> summary;
   EXPECT_FALSE(summary.ok()) << "zero episodes must not read as a pass";
 }
 
@@ -215,13 +219,16 @@ size_t FirstFiredCrashEpisode(const ChaosConfig& config) {
 
 TEST(ChaosCrashSoak, SmallSoakHoldsAllNineInvariants) {
   const ChaosConfig config = SmallConfig();
-  const ChaosSoakSummary summary = RunCrashSoak(config);
+  const auto summary = RunSoak(config, RunCrashEpisode);
   EXPECT_TRUE(summary.ok());
-  EXPECT_EQ(summary.passed, config.episodes);
+  EXPECT_EQ(summary.passed(), config.episodes);
   size_t fired = 0;
   for (const ChaosEpisode& episode : summary.detail) {
     EXPECT_TRUE(episode.invariants.AllHold())
-        << DescribeSchedule(episode) << episode.failure;
+        << Describe(episode) << episode.failure();
+    EXPECT_NE(episode.invariants.Verdicts().find("restart_ledger=ok"),
+              std::string::npos)
+        << "crash episodes register the restart invariants";
     fired += episode.crash_fired;
     if (episode.crash_fired) {
       EXPECT_EQ(episode.generations, 2u);
@@ -261,7 +268,7 @@ TEST(ChaosCrashSoak, CrashEpisodesReplayBitForBit) {
     EXPECT_EQ(first.journal_bytes, second.journal_bytes);
     EXPECT_EQ(first.journal_events, second.journal_events);
     EXPECT_EQ(first.snapshot_bytes, second.snapshot_bytes);
-    EXPECT_EQ(DescribeSchedule(first), DescribeSchedule(second));
+    EXPECT_EQ(Describe(first), Describe(second));
   }
 }
 
@@ -269,18 +276,19 @@ TEST(ChaosCrashSoak, TamperSabotageTripsTheDecodeInvariant) {
   const ChaosConfig config = SmallConfig();
   const size_t index = FirstFiredCrashEpisode(config);
   const ChaosEpisode episode =
-      RunCrashEpisode(config, index, ChaosSabotage::kTamperResult);
+      RunCrashEpisode(config, index, Sabotage::kTamperResult);
   EXPECT_FALSE(episode.ok());
-  EXPECT_FALSE(episode.invariants.decode);
+  EXPECT_FALSE(episode.invariants.Holds("decode"));
 }
 
 TEST(ChaosCrashSoak, ReproCommandNamesTheCrashReplayFlag) {
   const ChaosConfig config = SmallConfig();
   const ChaosEpisode episode = RunCrashEpisode(config, 2);
-  const std::string repro = ReproCommand(config, episode);
+  const std::string repro = ReproCommand("crash", config.seed, 2);
   EXPECT_NE(repro.find("--seed=7"), std::string::npos) << repro;
-  EXPECT_NE(repro.find("--crash-replay=2"), std::string::npos) << repro;
-  const std::string schedule = DescribeSchedule(episode);
+  EXPECT_NE(repro.find("--harness=crash"), std::string::npos) << repro;
+  EXPECT_NE(repro.find("--replay=2"), std::string::npos) << repro;
+  const std::string schedule = Describe(episode);
   EXPECT_NE(schedule.find("crash "), std::string::npos) << schedule;
 }
 

@@ -26,18 +26,17 @@ OverloadConfig QuickConfig(uint64_t seed = 7) {
 
 TEST(OverloadChaos, DefaultMixesPassEveryInvariant) {
   const OverloadConfig config = QuickConfig();
-  const OverloadSoakSummary summary = RunOverloadSoak(config);
+  const auto summary = RunSoak(config, RunOverloadEpisode);
   EXPECT_TRUE(summary.ok());
-  EXPECT_EQ(summary.episodes, 4u);
-  EXPECT_EQ(summary.passed, 4u);
+  EXPECT_EQ(summary.episodes(), 4u);
+  EXPECT_EQ(summary.passed(), 4u);
   for (const OverloadEpisode& episode : summary.detail) {
-    EXPECT_TRUE(episode.ok()) << DescribeOverloadEpisode(episode) << "\n"
-                              << episode.failure;
-    EXPECT_TRUE(episode.failure.empty()) << episode.failure;
+    EXPECT_TRUE(episode.ok()) << Describe(episode) << episode.failure();
+    EXPECT_TRUE(episode.failure().empty()) << episode.failure();
     EXPECT_GT(episode.attempts, 0u);
     EXPECT_GT(episode.baseline_goodput, 0.0)
         << "the baseline phase must complete work: "
-        << DescribeOverloadEpisode(episode);
+        << Describe(episode);
   }
 }
 
@@ -59,7 +58,7 @@ TEST(OverloadChaos, SurgesEngageTheProtectionLayer) {
   const OverloadConfig config = QuickConfig();
   for (size_t i = 0; i < 4; ++i) {
     const OverloadEpisode episode = RunOverloadEpisode(config, i);
-    ASSERT_TRUE(episode.ok()) << episode.mix << ": " << episode.failure;
+    ASSERT_TRUE(episode.ok()) << episode.mix << ": " << episode.failure();
     EXPECT_GT(episode.rejected + episode.shed, 0u)
         << episode.mix << " surge ran fully unprotected";
     EXPECT_GT(episode.peak_level, serve::OverloadLevel::kNormal)
@@ -93,7 +92,7 @@ TEST(OverloadChaos, RecoveryGoodputReturnsAfterEverySurge) {
   const OverloadConfig config = QuickConfig();
   for (size_t i = 0; i < 4; ++i) {
     const OverloadEpisode episode = RunOverloadEpisode(config, i);
-    ASSERT_TRUE(episode.invariants.no_metastability)
+    ASSERT_TRUE(episode.invariants.Holds("no_metastability"))
         << episode.mix << ": recovery " << episode.recovery_goodput
         << " qps vs baseline " << episode.baseline_goodput << " qps";
     EXPECT_GE(episode.recovery_goodput,
@@ -104,21 +103,21 @@ TEST(OverloadChaos, RecoveryGoodputReturnsAfterEverySurge) {
 TEST(OverloadChaos, TamperSabotageTripsTheDecodeInvariant) {
   const OverloadConfig config = QuickConfig();
   const OverloadEpisode episode =
-      RunOverloadEpisode(config, 0, OverloadSabotage::kTamperResult);
-  EXPECT_FALSE(episode.invariants.decode);
+      RunOverloadEpisode(config, 0, Sabotage::kTamperResult);
+  EXPECT_FALSE(episode.invariants.Holds("decode"));
   EXPECT_FALSE(episode.ok());
-  EXPECT_NE(episode.failure.find("decode"), std::string::npos)
-      << episode.failure;
+  EXPECT_NE(episode.failure().find("decode"), std::string::npos)
+      << episode.failure();
 }
 
 TEST(OverloadChaos, DropSabotageTripsTheShedAccountingInvariant) {
   const OverloadConfig config = QuickConfig();
   const OverloadEpisode episode =
-      RunOverloadEpisode(config, 0, OverloadSabotage::kDropCompletion);
-  EXPECT_FALSE(episode.invariants.shed_accounting);
+      RunOverloadEpisode(config, 0, Sabotage::kDropCompletion);
+  EXPECT_FALSE(episode.invariants.Holds("shed_accounting"));
   EXPECT_FALSE(episode.ok());
-  EXPECT_NE(episode.failure.find("shed_accounting"), std::string::npos)
-      << episode.failure;
+  EXPECT_NE(episode.failure().find("shed_accounting"), std::string::npos)
+      << episode.failure();
 }
 
 TEST(OverloadChaos, EpisodesAreBitIdenticalAcrossThreadPoolSizes) {
@@ -158,11 +157,14 @@ TEST(OverloadChaos, DifferentSeedsProduceDifferentEpisodes) {
 TEST(OverloadChaos, DescribeAndReproCommandAreUsable) {
   const OverloadConfig config = QuickConfig();
   const OverloadEpisode episode = RunOverloadEpisode(config, 2);
-  const std::string described = DescribeOverloadEpisode(episode);
+  const std::string described = Describe(episode);
   EXPECT_NE(described.find(episode.mix), std::string::npos);
-  const std::string repro = OverloadReproCommand(config, episode);
+  const std::string repro = ReproCommand("overload", config.seed, 2);
+  EXPECT_NE(repro.find("--harness=overload"), std::string::npos);
   EXPECT_NE(repro.find("--seed=7"), std::string::npos);
-  EXPECT_NE(repro.find("--overload-replay=2"), std::string::npos);
+  EXPECT_NE(repro.find("--replay=2"), std::string::npos);
+  EXPECT_NE(EpisodeReport(episode, "overload", config.seed).find(repro),
+            std::string::npos);
 }
 
 }  // namespace

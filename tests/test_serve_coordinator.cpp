@@ -114,6 +114,12 @@ TEST(ServeCoordinator, BatchGroupingsIdenticalAcrossThreadCounts) {
     obs::MetricsRegistry metrics;
     ServeOptions options;
     options.batching.max_batch = 4;
+    // Groupings are deterministic only under a virtual service model: the
+    // wall-clock panel time would feed the batch-close timeout estimator
+    // and make groupings follow host load.
+    options.service_model = [](size_t width) {
+      return 1e-3 + 5e-4 * static_cast<double>(width);
+    };
     options.pool = &pool;
     options.metrics = &metrics;
     ServeCoordinator<double> coordinator(3, DeployFnFor(worlds), options);
