@@ -7,11 +7,9 @@
 #include <numeric>
 #include <utility>
 
-#include "coding/decoder.h"
 #include "coding/security_check.h"
 #include "common/check.h"
 #include "core/problem.h"
-#include "field/field_traits.h"
 
 namespace scec::net {
 namespace {
@@ -46,7 +44,7 @@ NetCoordinator::NetCoordinator(Matrix<double> a, DeviceFleet fleet,
       jitter_(options.backoff_jitter, options.jitter_seed),
       reputation_(fleet_.size(), options.reputation),
       evicted_(fleet_.size(), false),
-      views_(fleet_.size()) {
+      ledger_(a_.rows(), fleet_.size()) {
   SCEC_CHECK_GE(a_.rows(), 1u);
   SCEC_CHECK_GE(a_.cols(), 1u);
   SCEC_CHECK_GE(fleet_.size(), 2u);
@@ -75,49 +73,49 @@ void NetCoordinator::FlushVerified() {
   verified_buffer_.clear();
 }
 
-void NetCoordinator::AddCumulativeRows(size_t segment_index) {
-  const Segment& seg = segments_[segment_index];
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
-    const size_t device = seg.devices[slot];
-    const size_t start = seg.scheme.BlockStart(slot);
-    for (size_t row = 0; row < seg.scheme.row_counts[slot]; ++row) {
-      const CodedRowSpec spec = seg.code.RowSpec(start + row);
-      ViewRow view;
-      view.data_col = spec.data_row.has_value()
-                          ? seg.data_rows[*spec.data_row]
-                          : SIZE_MAX;
-      view.pad_col = a_.rows() + pad_cols_ + spec.random_row;
-      views_[device].push_back(view);
-    }
-  }
-  pad_cols_ += seg.code.r();
-}
-
 bool NetCoordinator::CumulativeViewsSecure() const {
-  const size_t m = a_.rows();
-  const size_t width = m + pad_cols_;
-  std::vector<Matrix<Gf61>> blocks;
-  for (const std::vector<ViewRow>& rows : views_) {
-    if (rows.empty()) continue;
-    Matrix<Gf61> block(rows.size(), width);
-    const Gf61 one = FieldTraits<Gf61>::One();
-    for (size_t row = 0; row < rows.size(); ++row) {
-      if (rows[row].data_col != SIZE_MAX) block(row, rows[row].data_col) = one;
-      block(row, rows[row].pad_col) = one;
-    }
-    blocks.push_back(std::move(block));
-  }
-  if (blocks.empty()) return true;
-  return VerifyCumulativeViews(blocks, m).all_secure;
+  return ledger_.Verify().all_secure;
 }
 
 Status NetCoordinator::VerifyCumulativeOrAbort(const char* stage) {
-  if (!options_.check_cumulative_security) return Status::Ok();
   if (!CumulativeViewsSecure()) {
     return SecurityViolation(std::string(stage) +
                              " leaked data rows (cumulative ITS violated)");
   }
   Trace(std::string("its_check stage=") + stage + " result=secure");
+  return Status::Ok();
+}
+
+Status NetCoordinator::StageSegment(EncodedSegment encoded) {
+  const size_t index = segments_.size();
+  Segment seg{std::move(encoded.shape),
+              ResultVerifier<double>::Create(encoded.shares, digest_rng_,
+                                             options_.num_digests),
+              {}};
+  // Recorded before the first share ships: if a later slot fails to stage,
+  // the devices of the earlier slots already hold their coded rows.
+  ledger_.Record(seg.shape);
+  for (size_t slot = 0; slot < seg.shape.num_slots(); ++slot) {
+    const uint64_t share_id = next_share_id_++;
+    seg.share_ids.push_back(share_id);
+    const Matrix<double>& rows = encoded.shares[slot].coded_rows;
+    const size_t device = seg.shape.phys()[slot];
+    Status staged = transport_->StageShare(device, share_id, rows);
+    if (!staged.ok()) {
+      // The chosen device died during staging: evict it so the next plan
+      // goes over whoever remains.
+      evicted_[device] = true;
+      ++stats_.evictions;
+      Trace("evict d=" + std::to_string(device) + " error=stage_failed");
+      return Unavailable("staging to device " + std::to_string(device) +
+                         " failed: " + staged.message());
+    }
+    stats_.staged_value_bytes += 8.0 * rows.rows() * rows.cols();
+    Trace("stage seg=" + std::to_string(index) +
+          " slot=" + std::to_string(slot) + " d=" + std::to_string(device) +
+          " rows=" + std::to_string(rows.rows()));
+  }
+  segments_.push_back(std::move(seg));
   return Status::Ok();
 }
 
@@ -132,17 +130,16 @@ Status NetCoordinator::Setup(Transport* transport) {
   problem.m = a_.rows();
   problem.l = a_.cols();
   problem.fleet = fleet_;
-  problem.Validate();
 
-  Result<Plan> planned = PlanMcscec(problem, options_.algorithm);
-  SCEC_RETURN_IF_ERROR(planned.status());
-  const Plan& plan = planned.value();
+  SCEC_ASSIGN_OR_RETURN(const Plan plan,
+                        PlanMcscec(problem, options_.algorithm));
 
-  Segment seg{StructuredCode(a_.rows(), plan.allocation.r), plan.scheme,
-              plan.participating, {}, {}, {}};
-  SCEC_RETURN_IF_ERROR(CheckSchemeSecure(seg.code, seg.scheme));
-  seg.data_rows.resize(a_.rows());
-  std::iota(seg.data_rows.begin(), seg.data_rows.end(), size_t{0});
+  std::vector<size_t> all_rows(a_.rows());
+  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
+  SegmentShape shape(std::move(all_rows),
+                     StructuredCode(a_.rows(), plan.allocation.r), plan.scheme,
+                     plan.participating);
+  SCEC_RETURN_IF_ERROR(CheckSchemeSecure(shape.code(), shape.scheme()));
 
   Trace("plan algo=" + std::string(TaAlgorithmName(options_.algorithm)) +
         " m=" + std::to_string(a_.rows()) +
@@ -150,22 +147,9 @@ Status NetCoordinator::Setup(Transport* transport) {
         " devices=" + std::to_string(plan.participating.size()));
 
   EncodedDeployment<double> encoded =
-      EncodeDeployment(seg.code, seg.scheme, a_, pad_rng_);
-  seg.verifier = ResultVerifier<double>::Create(encoded.shares, digest_rng_,
-                                                options_.num_digests);
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
-    const uint64_t share_id = next_share_id_++;
-    seg.share_ids.push_back(share_id);
-    const Matrix<double>& rows = encoded.shares[slot].coded_rows;
-    SCEC_RETURN_IF_ERROR(
-        transport_->StageShare(seg.devices[slot], share_id, rows));
-    stats_.staged_value_bytes += 8.0 * rows.rows() * rows.cols();
-    Trace("stage seg=0 slot=" + std::to_string(slot) +
-          " d=" + std::to_string(seg.devices[slot]) +
-          " rows=" + std::to_string(rows.rows()));
-  }
-  segments_.push_back(std::move(seg));
-  AddCumulativeRows(0);
+      EncodeDeployment(shape.code(), shape.scheme(), a_, pad_rng_);
+  SCEC_RETURN_IF_ERROR(StageSegment(
+      EncodedSegment{std::move(shape), std::move(encoded.shares)}));
   return VerifyCumulativeOrAbort("setup");
 }
 
@@ -174,7 +158,7 @@ void NetCoordinator::DispatchSlot(size_t segment_index, size_t slot,
                                   double start_delay_s) {
   const Segment& seg = segments_[segment_index];
   SlotState& state = query_slots_[segment_index][slot];
-  const size_t device = seg.devices[slot];
+  const size_t device = seg.shape.phys()[slot];
   const uint64_t rpc =
       transport_->SubmitQuery(device, seg.share_ids[slot], x,
                               options_.rpc_deadline_s, start_delay_s);
@@ -195,15 +179,16 @@ void NetCoordinator::DispatchSlot(size_t segment_index, size_t slot,
 void NetCoordinator::DispatchSegment(size_t segment_index,
                                      const std::vector<double>& x) {
   const Segment& seg = segments_[segment_index];
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
+  for (size_t slot = 0; slot < seg.shape.num_slots(); ++slot) {
     SlotState& state = query_slots_[segment_index][slot];
     if (state.phase != SlotPhase::kIdle) continue;
-    if (!UsableDevice(seg.devices[slot])) {
+    const size_t device = seg.shape.phys()[slot];
+    if (!UsableDevice(device)) {
       // Evicted or quarantined holder: its rows go straight to recovery.
       state.phase = SlotPhase::kFailed;
       Trace("skip seg=" + std::to_string(segment_index) +
             " slot=" + std::to_string(slot) +
-            " d=" + std::to_string(seg.devices[slot]) + " reason=unusable");
+            " d=" + std::to_string(device) + " reason=unusable");
       continue;
     }
     state.phase = SlotPhase::kOutstanding;
@@ -247,15 +232,13 @@ void NetCoordinator::HandleResponse(const Completion& completion,
   const Inflight entry = it->second;
   const Segment& seg = segments_[entry.segment];
   SlotState& state = query_slots_[entry.segment][entry.slot];
-  const size_t device = seg.devices[entry.slot];
-  const size_t expected = seg.scheme.row_counts[entry.slot];
+  const size_t device = seg.shape.phys()[entry.slot];
+  const size_t expected = seg.shape.scheme().row_counts[entry.slot];
 
-  const bool size_ok = completion.values.size() == expected;
   const bool verified =
-      size_ok && (!options_.verify_responses ||
-                  seg.verifier.Check(entry.slot, std::span<const double>(x),
-                                     std::span<const double>(
-                                         completion.values)));
+      completion.values.size() == expected &&
+      seg.verifier.Check(entry.slot, std::span<const double>(x),
+                         std::span<const double>(completion.values));
   if (!verified) {
     // Byzantine masking: the answer is discarded, never decoded. A digest
     // flag is proof of corruption (no false rejects), so quarantine on the
@@ -292,7 +275,7 @@ void NetCoordinator::HandleError(const Completion& completion,
   inflight_.erase(it);
   const Segment& seg = segments_[entry.segment];
   SlotState& state = query_slots_[entry.segment][entry.slot];
-  const size_t device = seg.devices[entry.slot];
+  const size_t device = seg.shape.phys()[entry.slot];
   if (entry.hedge) {
     state.hedge_rpc = 0;
   } else {
@@ -351,7 +334,7 @@ void NetCoordinator::HandleAlarm(const Completion& completion,
   // The primary is straggling: duplicate it to the same holder (the share
   // is device-bound, so no new view is created — ITS unaffected).
   const uint64_t rpc = transport_->SubmitQuery(
-      seg.devices[entry.slot], seg.share_ids[entry.slot], x,
+      seg.shape.phys()[entry.slot], seg.share_ids[entry.slot], x,
       options_.rpc_deadline_s, /*start_delay_s=*/0.0);
   inflight_[rpc] = Inflight{entry.segment, entry.slot, /*hedge=*/true};
   state.hedge_rpc = rpc;
@@ -361,7 +344,7 @@ void NetCoordinator::HandleAlarm(const Completion& completion,
   stats_.query_value_bytes += 8.0 * x.size();
   Trace("hedge seg=" + std::to_string(entry.segment) +
         " slot=" + std::to_string(entry.slot) +
-        " d=" + std::to_string(seg.devices[entry.slot]));
+        " d=" + std::to_string(seg.shape.phys()[entry.slot]));
 }
 
 Status NetCoordinator::WaitOutstanding(const std::vector<double>& x) {
@@ -391,98 +374,32 @@ Status NetCoordinator::WaitOutstanding(const std::vector<double>& x) {
   return Status::Ok();
 }
 
-void NetCoordinator::CollectDecoded(
+std::vector<size_t> NetCoordinator::CollectDecoded(
     std::vector<std::optional<double>>* decoded) const {
   for (size_t s = 0; s < segments_.size(); ++s) {
-    const Segment& seg = segments_[s];
-    const size_t r = seg.code.r();
-    // Availability per coded row of this segment's B.
-    std::vector<const double*> row_value(seg.scheme.total_rows(), nullptr);
-    for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
-      const SlotState& state = query_slots_[s][slot];
-      if (state.phase != SlotPhase::kDone) continue;
-      const size_t start = seg.scheme.BlockStart(slot);
-      for (size_t row = 0; row < seg.scheme.row_counts[slot]; ++row) {
-        row_value[start + row] = &state.values[row];
-      }
-    }
-    // A_p·x = y[r+p] − y[p mod r] whenever both coded rows answered.
-    for (size_t p = 0; p < seg.code.m(); ++p) {
-      const size_t global = seg.data_rows[p];
-      if ((*decoded)[global].has_value()) continue;
-      const double* mixed = row_value[r + p];
-      const double* pad = row_value[p % r];
-      if (mixed != nullptr && pad != nullptr) {
-        (*decoded)[global] = *mixed - *pad;
-      }
-    }
+    const std::vector<SlotState>& slots = query_slots_[s];
+    segments_[s].shape.DecodeInto(
+        [&slots](size_t slot) -> const std::vector<double>* {
+          return slots[slot].phase == SlotPhase::kDone ? &slots[slot].values
+                                                       : nullptr;
+        },
+        decoded);
   }
+  return MissingRows(*decoded);
 }
 
 Result<size_t> NetCoordinator::PlanRecoverySegment(
     const std::vector<size_t>& lost) {
-  // TA2 over the surviving fleet, exactly as the in-sim protocol replans.
-  std::vector<size_t> survivor_phys;
-  DeviceFleet survivors;
-  for (size_t d = 0; d < fleet_.size(); ++d) {
-    if (!UsableDevice(d)) continue;
-    survivor_phys.push_back(d);
-    survivors.Add(fleet_[d]);
-  }
-  if (survivor_phys.size() < 2) {
-    return Infeasible("fewer than 2 devices survive; MCSCEC requires k >= 2");
-  }
-  McscecProblem problem;
-  problem.m = lost.size();
-  problem.l = a_.cols();
-  problem.fleet = std::move(survivors);
-  Result<Plan> planned = PlanMcscec(problem, TaAlgorithm::kTA2);
-  SCEC_RETURN_IF_ERROR(planned.status());
-  const Plan& plan = planned.value();
-
-  Segment seg{StructuredCode(lost.size(), plan.allocation.r), plan.scheme,
-              {}, {}, lost, {}};
-  SCEC_RETURN_IF_ERROR(CheckSchemeSecure(seg.code, seg.scheme));
-  for (size_t survivor_index : plan.participating) {
-    seg.devices.push_back(survivor_phys[survivor_index]);
-  }
-
-  // FRESH pads (pad_rng_ never rewinds): reusing a pad column would let
-  // (old row − new row) cancel it and expose a difference of data rows.
-  Matrix<double> a_lost(lost.size(), a_.cols());
-  for (size_t p = 0; p < lost.size(); ++p) {
-    a_lost.SetRow(p, a_.Row(lost[p]));
-  }
-  EncodedDeployment<double> encoded =
-      EncodeDeployment(seg.code, seg.scheme, a_lost, pad_rng_);
-  seg.verifier = ResultVerifier<double>::Create(encoded.shares, digest_rng_,
-                                                options_.num_digests);
-
+  // TA2 over the surviving fleet and FRESH pads (pad_rng_ never rewinds),
+  // exactly as the in-sim protocol replans.
+  SCEC_ASSIGN_OR_RETURN(
+      EncodedSegment encoded,
+      BuildRepairSegment(a_, lost, fleet_,
+                         [this](size_t d) { return UsableDevice(d); },
+                         pad_rng_));
   Trace("recover rows=" + std::to_string(lost.size()) +
-        " devices=" + std::to_string(seg.devices.size()));
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
-    const uint64_t share_id = next_share_id_++;
-    seg.share_ids.push_back(share_id);
-    const Matrix<double>& rows = encoded.shares[slot].coded_rows;
-    const size_t device = seg.devices[slot];
-    Status staged = transport_->StageShare(device, share_id, rows);
-    if (!staged.ok()) {
-      // The chosen survivor died during staging: evict it and let the
-      // caller replan the round over whoever remains.
-      evicted_[device] = true;
-      ++stats_.evictions;
-      Trace("evict d=" + std::to_string(device) + " error=stage_failed");
-      return Unavailable("staging to device " + std::to_string(device) +
-                         " failed: " + staged.message());
-    }
-    stats_.staged_value_bytes += 8.0 * rows.rows() * rows.cols();
-    Trace("stage seg=" + std::to_string(segments_.size()) +
-          " slot=" + std::to_string(slot) + " d=" + std::to_string(device) +
-          " rows=" + std::to_string(rows.rows()));
-  }
-
-  segments_.push_back(std::move(seg));
-  AddCumulativeRows(segments_.size() - 1);
+        " devices=" + std::to_string(encoded.shape.num_slots()));
+  SCEC_RETURN_IF_ERROR(StageSegment(std::move(encoded)));
   ++stats_.recovery_rounds;
   stats_.replanned_rows += lost.size();
   SCEC_RETURN_IF_ERROR(VerifyCumulativeOrAbort("recovery"));
@@ -502,7 +419,7 @@ Result<std::vector<double>> NetCoordinator::Query(
 
   query_slots_.assign(segments_.size(), {});
   for (size_t s = 0; s < segments_.size(); ++s) {
-    query_slots_[s].assign(segments_[s].devices.size(), SlotState{});
+    query_slots_[s].assign(segments_[s].shape.num_slots(), SlotState{});
   }
   inflight_.clear();
   alarms_.clear();
@@ -515,11 +432,7 @@ Result<std::vector<double>> NetCoordinator::Query(
   SCEC_RETURN_IF_ERROR(WaitOutstanding(x));
 
   std::vector<std::optional<double>> decoded(a_.rows());
-  CollectDecoded(&decoded);
-  std::vector<size_t> lost;
-  for (size_t p = 0; p < decoded.size(); ++p) {
-    if (!decoded[p].has_value()) lost.push_back(p);
-  }
+  std::vector<size_t> lost = CollectDecoded(&decoded);
 
   size_t rounds_this_query = 0;
   while (!lost.empty()) {
@@ -535,14 +448,10 @@ Result<std::vector<double>> NetCoordinator::Query(
       return seg.status();
     }
     query_slots_.resize(segments_.size());
-    query_slots_[*seg].assign(segments_[*seg].devices.size(), SlotState{});
+    query_slots_[*seg].assign(segments_[*seg].shape.num_slots(), SlotState{});
     DispatchSegment(*seg, x);
     SCEC_RETURN_IF_ERROR(WaitOutstanding(x));
-    CollectDecoded(&decoded);
-    lost.clear();
-    for (size_t p = 0; p < decoded.size(); ++p) {
-      if (!decoded[p].has_value()) lost.push_back(p);
-    }
+    lost = CollectDecoded(&decoded);
   }
 
   FlushVerified();

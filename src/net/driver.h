@@ -26,7 +26,9 @@
 //   eviction     — a device that exhausts its retry budget is evicted,
 //   recovery     — lost rows are re-planned with TA2 over the survivors and
 //                  re-encoded with FRESH pads; cumulative per-device views
-//                  are exact-rank checked (Def. 2 ITS across rounds).
+//                  are exact-rank checked (Def. 2 ITS across rounds). The
+//                  round mechanics are core/segment.h's, shared with the
+//                  in-sim engine.
 //
 // Decision trace: with `record_trace` the driver appends one line per
 // protocol decision (plan, stage, dispatch, retry, hedge, evict, recover,
@@ -52,6 +54,7 @@
 #include "common/retry.h"
 #include "common/rng.h"
 #include "core/planner.h"
+#include "core/segment.h"
 #include "linalg/matrix.h"
 #include "net/transport.h"
 #include "sim/reputation.h"
@@ -76,8 +79,8 @@ struct NetCoordinatorOptions {
   // races make traces timing-dependent; enable per bench/test).
   double hedge_after_s = 0.0;
 
-  // Freivalds verification (coding/result_verify.h).
-  bool verify_responses = true;
+  // Freivalds digests per response (coding/result_verify.h); every
+  // response is verified.
   size_t num_digests = 1;
 
   // ChaCha20 seeds: pads (round 0 + every recovery round; never rewound)
@@ -86,11 +89,6 @@ struct NetCoordinatorOptions {
   uint64_t digest_seed = 43;
 
   size_t max_recovery_rounds = 4;
-
-  // Exact-rank Def. 2 check over every device's cumulative view after setup
-  // and after every recovery re-encode. O((m+r)^3) per round — disable for
-  // large benches only.
-  bool check_cumulative_security = true;
 
   sim::ReputationOptions reputation;  // quarantine knobs (disabled = all pass)
 
@@ -146,17 +144,18 @@ class NetCoordinator {
 
   // Exact-rank Def. 2 over every device's cumulative view (all rounds).
   bool CumulativeViewsSecure() const;
+  // Per-device cumulative views; a segment's rows enter it before its
+  // first share is staged.
+  const CumulativeViewLedger& ledger() const { return ledger_; }
 
  private:
-  // One encoding round: round 0 covers all m rows, recovery rounds cover
-  // the lost subset. Shares stay staged on their daemons across queries.
+  // One encoding round (core/segment.h): round 0 covers all m rows,
+  // recovery rounds cover the lost subset. Shares stay staged on their
+  // daemons across queries.
   struct Segment {
-    StructuredCode code;
-    LcecScheme scheme;
-    std::vector<size_t> devices;    // fleet index per scheme slot
-    std::vector<uint64_t> share_ids;
-    std::vector<size_t> data_rows;  // global data row per local row index
+    SegmentShape shape;
     ResultVerifier<double> verifier;
+    std::vector<uint64_t> share_ids;
   };
 
   enum class SlotPhase { kIdle, kOutstanding, kDone, kFailed };
@@ -175,7 +174,10 @@ class NetCoordinator {
   };
 
   bool UsableDevice(size_t device) const;
-  void AddCumulativeRows(size_t segment_index);
+  // Creates the segment's verifier, records its rows in the ledger, and
+  // stages every share. A device that fails staging is evicted and the
+  // call returns kUnavailable; the segment is then not added.
+  Status StageSegment(EncodedSegment encoded);
   Status VerifyCumulativeOrAbort(const char* stage);
 
   // Query machinery (all operate on query_slots_ / inflight_).
@@ -188,7 +190,9 @@ class NetCoordinator {
   void HandleError(const Completion& completion, const std::vector<double>& x);
   void HandleAlarm(const Completion& completion, const std::vector<double>& x);
   Status WaitOutstanding(const std::vector<double>& x);
-  void CollectDecoded(std::vector<std::optional<double>>* decoded) const;
+  // Decodes every row the query's answers yield; returns the rows missing.
+  std::vector<size_t> CollectDecoded(
+      std::vector<std::optional<double>>* decoded) const;
   Result<size_t> PlanRecoverySegment(const std::vector<size_t>& lost);
 
   void Trace(std::string line);
@@ -209,15 +213,7 @@ class NetCoordinator {
   std::vector<bool> evicted_;
   uint64_t next_share_id_ = 1;
 
-  // Cumulative per-device coefficient rows over the extended basis
-  // [A_1..A_m | pads round 0 | pads round 1 | ...]. data_col == SIZE_MAX
-  // marks a pure pad row.
-  struct ViewRow {
-    size_t data_col = SIZE_MAX;
-    size_t pad_col = 0;
-  };
-  std::vector<std::vector<ViewRow>> views_;  // per fleet device
-  size_t pad_cols_ = 0;
+  CumulativeViewLedger ledger_;  // every row each device was ever sent
 
   // Per-query state.
   std::vector<std::vector<SlotState>> query_slots_;  // [segment][slot]

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "core/segment.h"
 #include "obs/metrics.h"
 #include "recovery/crc32.h"
 #include "recovery/sealed_snapshot.h"
@@ -34,18 +35,8 @@ Status ValidateReplayState(const ReplayState& state,
     }
   }
   for (const JournalSegmentRecord& rec : state.prior_segments) {
-    for (const size_t p : rec.phys) {
-      if (p >= fleet_size) {
-        return DecodeFailure("journaled segment maps to device " +
-                             std::to_string(p) + " outside the fleet");
-      }
-    }
-    for (const size_t row : rec.data_rows) {
-      if (row >= a.rows()) {
-        return DecodeFailure("journaled segment covers row " +
-                             std::to_string(row) + " outside the matrix");
-      }
-    }
+    SCEC_RETURN_IF_ERROR(
+        SegmentShape::FromRecord(rec, fleet_size, a.rows()).status());
   }
   if (state.has_in_flight && state.in_flight_x.size() != deployment.l) {
     return DecodeFailure(
@@ -153,7 +144,7 @@ Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Restart(
   coordinator->protocol_ = std::make_unique<sim::FaultTolerantScecProtocol>(
       &*coordinator->session_, a, std::move(fleet), options.sim, options.ft);
   coordinator->protocol_->Stage();  // may throw CoordinatorCrash
-  coordinator->protocol_->RestoreFromReplay(state);
+  SCEC_RETURN_IF_ERROR(coordinator->protocol_->RestoreFromReplay(state));
   coordinator->replay_ = std::move(state);
 
   const double replay_seconds =

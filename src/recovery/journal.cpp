@@ -2,11 +2,13 @@
 
 #include "recovery/journal.h"
 
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 
 #include "common/check.h"
 #include "common/serde.h"
+#include "core/segment.h"
 #include "obs/metrics.h"
 #include "recovery/crash.h"
 #include "recovery/crc32.h"
@@ -285,22 +287,10 @@ Result<ReplayState> BuildReplayState(const JournalReplay& replay) {
           return DecodeFailure("segment_added record without a segment body");
         }
         const JournalSegmentRecord& rec = *event.segment_record;
-        if (rec.m == 0 || rec.r == 0 || rec.r > rec.m) {
-          return DecodeFailure("journaled segment has an invalid (m, r)");
-        }
-        size_t total_rows = 0;
-        for (const size_t c : rec.row_counts) total_rows += c;
-        if (total_rows != rec.m + rec.r) {
-          return DecodeFailure(
-              "journaled segment row_counts do not sum to m + r");
-        }
-        if (rec.phys.size() != rec.row_counts.size()) {
-          return DecodeFailure(
-              "journaled segment phys/row_counts length mismatch");
-        }
-        if (rec.data_rows.size() != rec.m) {
-          return DecodeFailure("journaled segment data_rows length != m");
-        }
+        // Fleet and matrix bounds are checked at restart, where both are
+        // known (recovery/coordinator.cpp).
+        SCEC_RETURN_IF_ERROR(
+            SegmentShape::FromRecord(rec, SIZE_MAX, SIZE_MAX).status());
         state.prior_segments.push_back(rec);
         break;
       }

@@ -103,16 +103,13 @@ uint64_t GenerationSeed(uint64_t seed, uint32_t generation) {
   return mix.Next();
 }
 
-// row index within B -> (scheme device, offset within its response).
-std::vector<std::pair<size_t, size_t>> HolderMap(const LcecScheme& scheme) {
-  std::vector<std::pair<size_t, size_t>> holder(scheme.total_rows());
-  size_t row = 0;
-  for (size_t j = 0; j < scheme.num_devices(); ++j) {
-    for (size_t k = 0; k < scheme.row_counts[j]; ++k) {
-      holder[row++] = {j, k};
-    }
-  }
-  return holder;
+// Slot -> verified response lookup over one segment's current answers.
+template <typename Segment>
+auto AnswerOf(const Segment& seg) {
+  return [&seg](size_t slot) -> const std::vector<double>* {
+    const std::optional<std::vector<double>>& response = seg.responses[slot];
+    return response.has_value() ? &*response : nullptr;
+  };
 }
 
 }  // namespace
@@ -188,26 +185,25 @@ FaultTolerantScecProtocol::FaultTolerantScecProtocol(
   if (ft_.byzantine_tolerance > 0) ft_.reputation.enabled = true;
   ft_.reputation.Validate();
 
-  devices_.reserve(fleet_specs.size());
-  for (EdgeDevice& spec : fleet_specs) {
-    DeviceState state;
-    state.spec = std::move(spec);
-    devices_.push_back(std::move(state));
-  }
+  fleet_ = DeviceFleet(std::move(fleet_specs));
   for (size_t fleet_index : deployment_->plan.participating) {
-    SCEC_CHECK_LT(fleet_index, devices_.size())
+    SCEC_CHECK_LT(fleet_index, fleet_.size())
         << "fleet_specs must cover every participating device";
   }
-  latency_.assign(devices_.size(), LatencyEstimator(ft_.estimator));
-  reputation_ = ReputationTracker(devices_.size(), ft_.reputation);
+  evicted_.assign(fleet_.size(), false);
+  latency_.assign(fleet_.size(), LatencyEstimator(ft_.estimator));
+  reputation_ = ReputationTracker(fleet_.size(), ft_.reputation);
+  ledger_ = CumulativeViewLedger(a_->rows(), fleet_.size());
   BuildTopology();
 
   // The base deployment is segment 0: all m data rows, the planner's scheme,
   // participating fleet indices as the physical mapping.
   std::vector<size_t> all_rows(a_->rows());
   std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-  AddSegment(std::move(all_rows), deployment_->code, deployment_->plan.scheme,
-             deployment_->plan.participating, deployment_->shares);
+  AddSegment(EncodedSegment{
+      SegmentShape(std::move(all_rows), deployment_->code,
+                   deployment_->plan.scheme, deployment_->plan.participating),
+      deployment_->shares});
   recovery_.base_plan_cost = deployment_->plan.allocation.total_cost;
   recovery_.generation = ft_.generation;
 }
@@ -229,10 +225,23 @@ void FaultTolerantScecProtocol::JournalAppend(recovery::JournalEvent event,
   }
 }
 
+void FaultTolerantScecProtocol::RecordStanding(size_t device, uint64_t reason,
+                                               const char* what) {
+  if (obs::Tracer::Enabled()) {
+    obs::Tracer::Global().RecordSimInstant(what, queue_.now(), /*tid=*/device,
+                                           "fault");
+  }
+  recovery::JournalEvent event;
+  event.kind = recovery::JournalEventKind::kEvict;
+  event.query_id = current_query_id_;
+  event.device = device;
+  event.attempt = reason;
+  JournalAppend(std::move(event), /*committed=*/true);
+}
+
 size_t FaultTolerantScecProtocol::num_evicted() const {
-  size_t count = 0;
-  for (const DeviceState& dev : devices_) count += dev.evicted ? 1 : 0;
-  return count;
+  return static_cast<size_t>(
+      std::count(evicted_.begin(), evicted_.end(), true));
 }
 
 void FaultTolerantScecProtocol::BuildTopology() {
@@ -243,8 +252,8 @@ void FaultTolerantScecProtocol::BuildTopology() {
   }
   // Links for the FULL fleet (node id = fleet index): recovery can re-plan
   // onto any surviving device, whether or not segment 0 used it.
-  for (size_t d = 0; d < devices_.size(); ++d) {
-    const EdgeDevice& spec = devices_[d].spec;
+  for (size_t d = 0; d < fleet_.size(); ++d) {
+    const EdgeDevice& spec = fleet_[d];
     const NodeId node = DeviceNode(d);
     network_.AddLink(kCloudNode, node,
                      LinkSpec{spec.link_latency_s, spec.downlink_bps});
@@ -258,17 +267,10 @@ void FaultTolerantScecProtocol::BuildTopology() {
 }
 
 void FaultTolerantScecProtocol::SendMsg(NodeId from, NodeId to, uint64_t bytes,
-                                        EventQueue::Callback on_delivered,
-                                        bool abort_on_failure) {
-  EventQueue::Callback on_failure = nullptr;
-  if (abort_on_failure) {
-    on_failure = []() {
-      SCEC_CHECK(false) << "reliable transfer exhausted its retry budget";
-    };
-  }
+                                        EventQueue::Callback on_delivered) {
   // Query-path sends fail silently: the protocol's own deadline + retry
   // layer handles the loss.
-  SendMsgEx(from, to, bytes, std::move(on_delivered), std::move(on_failure));
+  SendMsgEx(from, to, bytes, std::move(on_delivered), nullptr);
 }
 
 void FaultTolerantScecProtocol::SendMsgEx(NodeId from, NodeId to,
@@ -284,55 +286,26 @@ void FaultTolerantScecProtocol::SendMsgEx(NodeId from, NodeId to,
   }
 }
 
-void FaultTolerantScecProtocol::AddSegment(
-    std::vector<size_t> data_rows, StructuredCode code, LcecScheme scheme,
-    std::vector<size_t> phys, std::vector<DeviceShare<double>> shares) {
-  SCEC_CHECK_EQ(data_rows.size(), code.m());
-  SCEC_CHECK_EQ(phys.size(), scheme.num_devices());
-  SCEC_CHECK_EQ(shares.size(), scheme.num_devices());
-
-  Segment seg;
-  seg.data_rows = std::move(data_rows);
-  seg.code = code;
-  seg.scheme = std::move(scheme);
-  seg.phys = std::move(phys);
-  seg.verifier =
-      ResultVerifier<double>::Create(shares, verifier_rng_, ft_.num_digests);
-  seg.share_rows.reserve(shares.size());
-  for (DeviceShare<double>& share : shares) {
-    seg.share_rows.push_back(std::move(share.coded_rows));
-  }
-
-  // Record every coefficient row each device receives, over the extended
-  // basis [A | pads of all rounds] — the input to the cumulative Def. 2
-  // check. Pad columns of this round start at pads_total_.
-  for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
-    const size_t start = seg.scheme.BlockStart(j);
-    DeviceState& dev = devices_[seg.phys[j]];
-    for (size_t row = 0; row < seg.scheme.row_counts[j]; ++row) {
-      const CodedRowSpec spec = seg.code.RowSpec(start + row);
-      HeldRow held;
-      if (spec.data_row.has_value()) {
-        held.data_row = seg.data_rows[*spec.data_row];
-      }
-      held.pad_col = pads_total_ + spec.random_row;
-      dev.held.push_back(held);
-    }
-  }
-  pads_total_ += seg.code.r();
-
+void FaultTolerantScecProtocol::AddSegment(EncodedSegment encoded) {
+  SCEC_CHECK_EQ(encoded.shares.size(), encoded.shape.num_slots());
+  // The cumulative Def. 2 ledger sees the rows before any share ships.
+  ledger_.Record(encoded.shape);
   const size_t seg_index = segments_.size();
-  for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
-    const size_t phys_index = seg.phys[j];
+  Segment seg{std::move(encoded.shape),
+              ResultVerifier<double>::Create(encoded.shares, verifier_rng_,
+                                             ft_.num_digests),
+              std::move(encoded.shares), {}, {}};
+  for (size_t j = 0; j < seg.shape.num_slots(); ++j) {
+    const size_t phys_index = seg.shape.phys()[j];
     seg.actors.push_back(std::make_unique<EdgeDeviceActor>(
-        phys_index, devices_[phys_index].spec, &queue_, &network_, &options_,
+        phys_index, fleet_[phys_index], &queue_, &network_, &options_,
         &straggler_rng_,
         [this, seg_index, j](size_t, std::vector<double> response) {
           OnResponse(seg_index, j, std::move(response));
         },
         channel_.get()));
   }
-  seg.responses.assign(seg.scheme.num_devices(), std::nullopt);
+  seg.responses.assign(seg.shape.num_slots(), std::nullopt);
   segments_.push_back(std::move(seg));
 
   // Journal the new segment's shape so a restarted coordinator can
@@ -341,40 +314,33 @@ void FaultTolerantScecProtocol::AddSegment(
   // rebuilt from the sealed snapshot, not the journal, and its pad VALUES
   // must never leave the coordinator. Only shapes are journaled, ever.
   if (journal_ != nullptr) {
-    const Segment& added = segments_.back();
+    const SegmentShape& added = segments_.back().shape;
     recovery::JournalEvent event;
     event.kind = recovery::JournalEventKind::kSegmentAdded;
     event.segment = seg_index;
     recovery::JournalSegmentRecord record;
     record.index = seg_index;
-    record.m = added.code.m();
-    record.r = added.code.r();
-    record.row_counts = added.scheme.row_counts;
-    record.phys = added.phys;
-    record.data_rows = added.data_rows;
+    record.m = added.code().m();
+    record.r = added.code().r();
+    record.row_counts = added.scheme().row_counts;
+    record.phys = added.phys();
+    record.data_rows = added.data_rows();
     event.segment_record = std::move(record);
     JournalAppend(std::move(event), /*committed=*/true);
   }
 }
 
 void FaultTolerantScecProtocol::StageSegment(size_t segment_index) {
-  Segment& seg = segments_[segment_index];
-  for (size_t j = 0; j < seg.actors.size(); ++j) {
-    const Matrix<double>& share = seg.share_rows[j];
-    const uint64_t bytes = static_cast<uint64_t>(
-        static_cast<double>(share.size()) * options_.value_bytes);
-    metrics_.staging_bytes += bytes;
-    EdgeDeviceActor* actor = seg.actors[j].get();
-    SendMsg(kCloudNode, DeviceNode(seg.phys[j]), bytes,
-            [actor, share]() { actor->OnShareDelivered(share); },
-            /*abort_on_failure=*/true);
-  }
+  StageSegmentAsync(segment_index, [] {}, [] {
+    SCEC_CHECK(false) << "reliable transfer exhausted its retry budget";
+  });
   queue_.RunUntilEmpty();
+  Segment& seg = segments_[segment_index];
   for (const auto& actor : seg.actors) SCEC_CHECK(actor->HasShare());
   seg.staged = true;
 }
 
-void FaultTolerantScecProtocol::StageSegmentAsync(
+uint64_t FaultTolerantScecProtocol::StageSegmentAsync(
     size_t segment_index, EventQueue::Callback on_staged,
     EventQueue::Callback on_abort) {
   Segment& seg = segments_[segment_index];
@@ -388,14 +354,15 @@ void FaultTolerantScecProtocol::StageSegmentAsync(
   state->remaining = seg.actors.size();
   state->on_staged = std::move(on_staged);
   state->on_abort = std::move(on_abort);
+  uint64_t staged_bytes = 0;
   for (size_t j = 0; j < seg.actors.size(); ++j) {
-    const Matrix<double>& share = seg.share_rows[j];
+    const Matrix<double>& share = seg.shares[j].coded_rows;
     const uint64_t bytes = static_cast<uint64_t>(
         static_cast<double>(share.size()) * options_.value_bytes);
     metrics_.staging_bytes += bytes;
-    recovery_.hedge_staging_bytes += bytes;
+    staged_bytes += bytes;
     EdgeDeviceActor* actor = seg.actors[j].get();
-    SendMsgEx(kCloudNode, DeviceNode(seg.phys[j]), bytes,
+    SendMsgEx(kCloudNode, DeviceNode(seg.shape.phys()[j]), bytes,
               [actor, share, state]() {
                 actor->OnShareDelivered(share);
                 if (state->aborted) return;
@@ -414,6 +381,7 @@ void FaultTolerantScecProtocol::StageSegmentAsync(
                 state->on_abort();
               });
   }
+  return staged_bytes;
 }
 
 void FaultTolerantScecProtocol::Stage() {
@@ -425,7 +393,7 @@ void FaultTolerantScecProtocol::Stage() {
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimSpan("stage", stage_start,
                                         queue_.now() - stage_start,
-                                        /*tid=*/devices_.size());
+                                        /*tid=*/fleet_.size());
   }
   {
     recovery::JournalEvent event;
@@ -438,51 +406,42 @@ void FaultTolerantScecProtocol::Stage() {
 
 void FaultTolerantScecProtocol::ProvisionGuards() {
   if (ft_.byzantine_tolerance == 0) return;
-  DeviceFleet fleet;
-  for (const DeviceState& dev : devices_) fleet.Add(dev.spec);
   const std::vector<std::array<size_t, 2>> pairs =
-      SelectGuardPairs(fleet, deployment_->l, deployment_->plan.participating,
+      SelectGuardPairs(fleet_, deployment_->l, deployment_->plan.participating,
                        ft_.byzantine_tolerance);
   const size_t m = a_->rows();
   for (const std::array<size_t, 2>& pair : pairs) {
     // Each guard re-encodes ALL m data rows with fresh pads: pad block on
-    // pair[0], mixed block on pair[1] (Lemma 1 holds: V = m <= r = m).
-    StructuredCode code(m, m);
-    LcecScheme scheme = SchemeFromRowCounts(m, m, {m, m});
-    const Status secure = CheckSchemeSecure(code, scheme);
-    SCEC_CHECK(secure.ok()) << secure.message();
+    // pair[0], mixed block on pair[1].
     std::vector<size_t> all_rows(m);
     std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-    EncodedDeployment<double> encoded =
-        EncodeDeployment(code, scheme, *a_, guard_rng_);
-    AddSegment(std::move(all_rows), code, std::move(scheme),
-               {pair[0], pair[1]}, std::move(encoded.shares));
+    AddSegment(BuildPairSegment(*a_, std::move(all_rows), pair[0], pair[1],
+                                guard_rng_));
     StageSegment(segments_.size() - 1);
     ++recovery_.byzantine_guard_segments;
     recovery_.byzantine_guard_rows += 2 * m;
     // Eq. (1) spend on the surplus, same formula as PlanByzantineMcscec.
     recovery_.byzantine_guard_cost +=
         static_cast<double>(m) *
-        (UnitCost(devices_[pair[0]].spec.costs, deployment_->l) +
-         UnitCost(devices_[pair[1]].spec.costs, deployment_->l));
+        (UnitCost(fleet_[pair[0]].costs, deployment_->l) +
+         UnitCost(fleet_[pair[1]].costs, deployment_->l));
   }
   byzantine_tolerance_effective_ = pairs.size();
-  SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
-      << "guard re-encode leaked data rows (cumulative ITS violated)";
+  CheckCumulativeSecurity("guard");
   if (obs::Tracer::Enabled() && !pairs.empty()) {
     obs::Tracer::Global().RecordSimInstant(
         "guards(" + std::to_string(pairs.size()) + ")", queue_.now(),
-        /*tid=*/devices_.size(), "fault");
+        /*tid=*/fleet_.size(), "fault");
   }
 }
 
 double FaultTolerantScecProtocol::ModelDeadlineFor(
     const Pending& pending) const {
   const Segment& seg = segments_[pending.segment];
-  const EdgeDevice& spec = devices_[pending.phys].spec;
+  const EdgeDevice& spec = fleet_[pending.phys];
   const double l = static_cast<double>(deployment_->l);
   const double v =
-      static_cast<double>(seg.scheme.row_counts[pending.local]);
+      static_cast<double>(seg.shape.scheme().row_counts[pending.local]);
   const double x_bits = l * options_.value_bytes * 8.0;
   const double response_bits = v * options_.value_bytes * 8.0;
   const double flops = v * (2.0 * l - 1.0);
@@ -558,30 +517,8 @@ void FaultTolerantScecProtocol::Dispatch(Pending* pending) {
         "retry attempt " + std::to_string(attempt), queue_.now(),
         /*tid=*/pending->phys, "fault");
   }
-  ++recovery_.queries_dispatched;
-  EdgeDeviceActor* actor =
-      segments_[pending->segment].actors[pending->local].get();
-  const std::vector<double> x = *current_x_;
-  const uint64_t x_bytes = static_cast<uint64_t>(
-      static_cast<double>(x.size()) * options_.value_bytes);
-  metrics_.query_uplink_bytes += x_bytes;
-  // Write-ahead the billing entry (group-committed in CollectRound): the
-  // uplink spend is journaled before the bytes move, so a crash can lose the
-  // dispatch but never bill one that was not journaled first.
-  if (journal_ != nullptr) {
-    recovery::JournalEvent event;
-    event.kind = recovery::JournalEventKind::kDispatch;
-    event.query_id = current_query_id_;
-    event.segment = pending->segment;
-    event.local = pending->local;
-    event.device = pending->phys;
-    event.attempt = attempt;
-    event.bytes = x_bytes;
-    JournalAppend(std::move(event), /*committed=*/false);
-  }
-  SendMsg(kUserNode, DeviceNode(pending->phys), x_bytes,
-          [actor, x]() { actor->OnQueryDelivered(x); },
-          /*abort_on_failure=*/false);
+  // Group-committed in CollectRound.
+  SendQuery(pending->segment, pending->local, attempt, /*committed=*/false);
 
   // Arm the hedge trigger once per pending, on the first dispatch: if the
   // device is still unresolved past its hedge threshold, speculate.
@@ -606,17 +543,8 @@ void FaultTolerantScecProtocol::Dispatch(Pending* pending) {
       if (was_usable && !reputation_.Usable(pending->phys)) {
         ++recovery_.devices_quarantined;
         ResilienceMetrics::Get().reputation_quarantines.Increment();
-        if (obs::Tracer::Enabled()) {
-          obs::Tracer::Global().RecordSimInstant(
-              "quarantine(timeout)", queue_.now(), /*tid=*/pending->phys,
-              "fault");
-        }
-        recovery::JournalEvent event;
-        event.kind = recovery::JournalEventKind::kEvict;
-        event.query_id = current_query_id_;
-        event.device = pending->phys;
-        event.attempt = recovery::kEvictReasonQuarantine;
-        JournalAppend(std::move(event), /*committed=*/true);
+        RecordStanding(pending->phys, recovery::kEvictReasonQuarantine,
+                       "quarantine(timeout)");
       }
     }
     bool fail_fast = pending->attempts >= ft_.retry.max_attempts;
@@ -632,17 +560,9 @@ void FaultTolerantScecProtocol::Dispatch(Pending* pending) {
     if (fail_fast) {
       Resolve(pending, PendingOutcome::kFailed);
       ++recovery_.devices_evicted_timeout;
-      devices_[pending->phys].evicted = true;
-      if (obs::Tracer::Enabled()) {
-        obs::Tracer::Global().RecordSimInstant("evict(timeout)", queue_.now(),
-                                               /*tid=*/pending->phys, "fault");
-      }
-      recovery::JournalEvent event;
-      event.kind = recovery::JournalEventKind::kEvict;
-      event.query_id = current_query_id_;
-      event.device = pending->phys;
-      event.attempt = recovery::kEvictReasonTimeout;
-      JournalAppend(std::move(event), /*committed=*/true);
+      evicted_[pending->phys] = true;
+      RecordStanding(pending->phys, recovery::kEvictReasonTimeout,
+                     "evict(timeout)");
       return;
     }
     ++recovery_.retries_sent;
@@ -654,6 +574,33 @@ void FaultTolerantScecProtocol::Dispatch(Pending* pending) {
       Dispatch(pending);
     });
   });
+}
+
+void FaultTolerantScecProtocol::SendQuery(size_t segment, size_t local,
+                                          uint64_t attempt, bool committed) {
+  const size_t phys = segments_[segment].shape.phys()[local];
+  EdgeDeviceActor* actor = segments_[segment].actors[local].get();
+  const std::vector<double> x = *current_x_;
+  const uint64_t x_bytes = static_cast<uint64_t>(
+      static_cast<double>(x.size()) * options_.value_bytes);
+  metrics_.query_uplink_bytes += x_bytes;
+  ++recovery_.queries_dispatched;
+  // Write-ahead the billing entry: the uplink spend is journaled before the
+  // bytes move, so a crash can lose the dispatch but never bill one that
+  // was not journaled first.
+  if (journal_ != nullptr) {
+    recovery::JournalEvent event;
+    event.kind = recovery::JournalEventKind::kDispatch;
+    event.query_id = current_query_id_;
+    event.segment = segment;
+    event.local = local;
+    event.device = phys;
+    event.attempt = attempt;
+    event.bytes = x_bytes;
+    JournalAppend(std::move(event), committed);
+  }
+  SendMsg(kUserNode, DeviceNode(phys), x_bytes,
+          [actor, x]() { actor->OnQueryDelivered(x); });
 }
 
 void FaultTolerantScecProtocol::OnResponse(size_t segment, size_t local,
@@ -680,16 +627,7 @@ void FaultTolerantScecProtocol::OnResponse(size_t segment, size_t local,
     if (reputation_.RecordCanaryResult(phys, passed)) {
       ++recovery_.devices_readmitted;
       ResilienceMetrics::Get().reputation_readmissions.Increment();
-      if (obs::Tracer::Enabled()) {
-        obs::Tracer::Global().RecordSimInstant("readmit", queue_.now(),
-                                               /*tid=*/phys, "fault");
-      }
-      recovery::JournalEvent event;
-      event.kind = recovery::JournalEventKind::kEvict;
-      event.query_id = current_query_id_;
-      event.device = phys;
-      event.attempt = recovery::kEvictReasonReadmit;
-      JournalAppend(std::move(event), /*committed=*/true);
+      RecordStanding(phys, recovery::kEvictReasonReadmit, "readmit");
     }
     return;
   }
@@ -716,17 +654,9 @@ void FaultTolerantScecProtocol::OnResponse(size_t segment, size_t local,
       // A corrupted response is Byzantine behaviour, not noise: evict
       // immediately instead of retrying.
       ++recovery_.devices_evicted_corrupt;
-      devices_[pending->phys].evicted = true;
-      if (obs::Tracer::Enabled()) {
-        obs::Tracer::Global().RecordSimInstant("evict(corrupt)", queue_.now(),
-                                               /*tid=*/pending->phys, "fault");
-      }
-      recovery::JournalEvent event;
-      event.kind = recovery::JournalEventKind::kEvict;
-      event.query_id = current_query_id_;
-      event.device = pending->phys;
-      event.attempt = recovery::kEvictReasonCorrupt;
-      JournalAppend(std::move(event), /*committed=*/true);
+      evicted_[pending->phys] = true;
+      RecordStanding(pending->phys, recovery::kEvictReasonCorrupt,
+                     "evict(corrupt)");
     }
     return;
   }
@@ -813,30 +743,20 @@ std::vector<size_t> FaultTolerantScecProtocol::RowsAtRisk(
   std::vector<bool> decodable(a_->rows(), false);
   for (const Segment& seg : segments_) {
     if (!seg.staged) continue;
-    const auto holder = HolderMap(seg.scheme);
-    const size_t r = seg.code.r();
-    for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-      const size_t mixed_dev = holder[r + p].first;
-      const size_t pad_dev = holder[p % r].first;
-      if (seg.responses[mixed_dev].has_value() &&
-          seg.responses[pad_dev].has_value()) {
-        decodable[seg.data_rows[p]] = true;
-      }
-    }
+    seg.shape.ForEachDecodable(AnswerOf(seg), [&](size_t p, double) {
+      decodable[seg.shape.data_rows()[p]] = true;
+    });
   }
   // Rows whose decode within the pending's segment needs the straggler's
   // block (as the mixed-row holder or the pad holder) and have no verified
   // path yet.
-  const Segment& seg = segments_[pending.segment];
-  const auto holder = HolderMap(seg.scheme);
-  const size_t r = seg.code.r();
+  const SegmentShape& shape = segments_[pending.segment].shape;
   std::vector<size_t> at_risk;
-  for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-    if (decodable[seg.data_rows[p]]) continue;
-    const size_t mixed_dev = holder[r + p].first;
-    const size_t pad_dev = holder[p % r].first;
-    if (mixed_dev == pending.local || pad_dev == pending.local) {
-      at_risk.push_back(seg.data_rows[p]);
+  for (size_t p = 0; p < shape.data_rows().size(); ++p) {
+    if (decodable[shape.data_rows()[p]]) continue;
+    const DecodePath& path = shape.path(p);
+    if (path.mixed_slot == pending.local || path.pad_slot == pending.local) {
+      at_risk.push_back(shape.data_rows()[p]);
     }
   }
   return at_risk;
@@ -874,13 +794,13 @@ void FaultTolerantScecProtocol::MaybeHedge(Pending* pending) {
   // already-answered participants: speculative compute on a participant is
   // not cancellable once delivered and would queue ahead of its next
   // sub-query, so hedging onto the serving fleet slows every later query.
-  std::vector<bool> serving(devices_.size(), false);
+  std::vector<bool> serving(fleet_.size(), false);
   for (const Segment& seg : segments_) {
     if (!seg.staged) continue;
-    for (size_t phys : seg.phys) serving[phys] = true;
+    for (size_t phys : seg.shape.phys()) serving[phys] = true;
   }
   std::vector<size_t> idle;
-  for (size_t d = 0; d < devices_.size(); ++d) {
+  for (size_t d = 0; d < fleet_.size(); ++d) {
     if (!UsableDevice(d) || d == pending->phys || BusyInRound(d)) continue;
     idle.push_back(d);
   }
@@ -899,34 +819,22 @@ void FaultTolerantScecProtocol::MaybeHedge(Pending* pending) {
   }
   std::sort(idle.begin(), idle.end(), [&](size_t lhs, size_t rhs) {
     if (serving[lhs] != serving[rhs]) return !serving[lhs];  // spares first
-    const double lhs_cost = UnitCost(devices_[lhs].spec.costs, deployment_->l);
-    const double rhs_cost = UnitCost(devices_[rhs].spec.costs, deployment_->l);
+    const double lhs_cost = UnitCost(fleet_[lhs].costs, deployment_->l);
+    const double rhs_cost = UnitCost(fleet_[rhs].costs, deployment_->l);
     if (lhs_cost != rhs_cost) return lhs_cost < rhs_cost;
     return lhs < rhs;
   });
 
-  // Mini-segment: s data rows, s fresh pads, pad block on one device and
-  // mixed block on the other (Lemma 1 holds: V = s <= r = s).
-  const size_t s = rows.size();
-  StructuredCode code(s, s);
-  LcecScheme scheme = SchemeFromRowCounts(s, s, {s, s});
-  const Status secure = CheckSchemeSecure(code, scheme);
-  SCEC_CHECK(secure.ok()) << secure.message();
-
-  Matrix<double> a_rows(s, deployment_->l);
-  for (size_t p = 0; p < s; ++p) a_rows.SetRow(p, a_->Row(rows[p]));
-  EncodedDeployment<double> encoded =
-      EncodeDeployment(code, scheme, a_rows, hedge_rng_);
-
+  // Mini-segment: the at-risk rows with fresh pads, pad block on one idle
+  // device and mixed block on the other.
   const size_t seg_index = segments_.size();
-  AddSegment(rows, code, std::move(scheme), {idle[0], idle[1]},
-             std::move(encoded.shares));
+  AddSegment(BuildPairSegment(*a_, rows, idle[0], idle[1], hedge_rng_));
   pending_index_.push_back(std::vector<Pending*>(
-      segments_[seg_index].scheme.num_devices(), nullptr));
+      segments_[seg_index].shape.num_slots(), nullptr));
 
   ++hedges_this_query_;
   ++recovery_.hedges_dispatched;
-  recovery_.hedged_rows += s;
+  recovery_.hedged_rows += rows.size();
   ResilienceMetrics::Get().hedges_dispatched.Increment();
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimInstant(
@@ -940,7 +848,7 @@ void FaultTolerantScecProtocol::MaybeHedge(Pending* pending) {
   group.segment = seg_index;
   pending->hedge_group = group_index;
 
-  StageSegmentAsync(
+  recovery_.hedge_staging_bytes += StageSegmentAsync(
       seg_index, [this, group_index]() { DispatchHedge(group_index); },
       [this, group_index]() {
         HedgeGroup& aborted = hedge_groups_[group_index];
@@ -972,12 +880,12 @@ void FaultTolerantScecProtocol::DispatchHedge(size_t group_index) {
   group.dispatched = true;
   Segment& seg = segments_[group.segment];
   seg.staged = true;
-  for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
+  for (size_t j = 0; j < seg.shape.num_slots(); ++j) {
     hedge_pendings_.emplace_back();
     Pending& pending = hedge_pendings_.back();
     pending.segment = group.segment;
     pending.local = j;
-    pending.phys = seg.phys[j];
+    pending.phys = seg.shape.phys()[j];
     pending.is_hedge = true;
     pending.hedge_group = group_index;
     group.hedges.push_back(&pending);
@@ -990,7 +898,7 @@ void FaultTolerantScecProtocol::DispatchHedge(size_t group_index) {
 void FaultTolerantScecProtocol::CollectRound(std::vector<Pending>* pendings) {
   pending_index_.assign(segments_.size(), {});
   for (size_t s = 0; s < segments_.size(); ++s) {
-    pending_index_[s].assign(segments_[s].scheme.num_devices(), nullptr);
+    pending_index_[s].assign(segments_[s].shape.num_slots(), nullptr);
   }
   for (Pending& pending : *pendings) {
     pending_index_[pending.segment][pending.local] = &pending;
@@ -1023,25 +931,10 @@ void FaultTolerantScecProtocol::CollectRound(std::vector<Pending>* pendings) {
 std::vector<size_t> FaultTolerantScecProtocol::DecodeAvailable(
     std::vector<std::optional<double>>* decoded) {
   for (const Segment& seg : segments_) {
-    const auto holder = HolderMap(seg.scheme);
-    const size_t r = seg.code.r();
-    for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-      const size_t global = seg.data_rows[p];
-      if ((*decoded)[global].has_value()) continue;
-      const auto [mixed_dev, mixed_off] = holder[r + p];
-      const auto [pad_dev, pad_off] = holder[p % r];
-      const auto& mixed = seg.responses[mixed_dev];
-      const auto& pad = seg.responses[pad_dev];
-      if (!mixed.has_value() || !pad.has_value()) continue;
-      (*decoded)[global] = (*mixed)[mixed_off] - (*pad)[pad_off];
-      ++metrics_.decode_subtractions;
-    }
+    metrics_.decode_subtractions +=
+        seg.shape.DecodeInto(AnswerOf(seg), decoded);
   }
-  std::vector<size_t> missing;
-  for (size_t g = 0; g < decoded->size(); ++g) {
-    if (!(*decoded)[g].has_value()) missing.push_back(g);
-  }
-  return missing;
+  return MissingRows(*decoded);
 }
 
 void FaultTolerantScecProtocol::FlagByzantine(size_t fleet_index) {
@@ -1053,16 +946,7 @@ void FaultTolerantScecProtocol::FlagByzantine(size_t fleet_index) {
   if (reputation_.RecordCorrupt(fleet_index)) {
     ++recovery_.devices_quarantined;
     ResilienceMetrics::Get().reputation_quarantines.Increment();
-    if (obs::Tracer::Enabled()) {
-      obs::Tracer::Global().RecordSimInstant("quarantine", queue_.now(),
-                                             /*tid=*/fleet_index, "fault");
-    }
-    recovery::JournalEvent event;
-    event.kind = recovery::JournalEventKind::kEvict;
-    event.query_id = current_query_id_;
-    event.device = fleet_index;
-    event.attempt = recovery::kEvictReasonQuarantine;
-    JournalAppend(std::move(event), /*committed=*/true);
+    RecordStanding(fleet_index, recovery::kEvictReasonQuarantine, "quarantine");
   }
 }
 
@@ -1083,18 +967,11 @@ std::vector<size_t> FaultTolerantScecProtocol::DecodeLocating(
   std::vector<DecodeUnit<double>> units;
   for (const Segment& seg : segments_) {
     if (!seg.staged) continue;
-    const auto holder = HolderMap(seg.scheme);
-    const size_t r = seg.code.r();
-    for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-      const size_t global = seg.data_rows[p];
-      if ((*decoded)[global].has_value()) continue;
-      const auto [mixed_dev, mixed_off] = holder[r + p];
-      const auto [pad_dev, pad_off] = holder[p % r];
-      const auto& mixed = seg.responses[mixed_dev];
-      const auto& pad = seg.responses[pad_dev];
-      if (!mixed.has_value() || !pad.has_value()) continue;
-      const auto it =
-          std::find(unit_rows.begin(), unit_rows.end(), global);
+    const SegmentShape& shape = seg.shape;
+    shape.ForEachDecodable(AnswerOf(seg), [&](size_t p, double value) {
+      const size_t global = shape.data_rows()[p];
+      if ((*decoded)[global].has_value()) return;
+      const auto it = std::find(unit_rows.begin(), unit_rows.end(), global);
       size_t u;
       if (it == unit_rows.end()) {
         u = unit_rows.size();
@@ -1104,10 +981,11 @@ std::vector<size_t> FaultTolerantScecProtocol::DecodeLocating(
         u = static_cast<size_t>(it - unit_rows.begin());
       }
       DecodeCandidate<double> candidate;
-      candidate.value = (*mixed)[mixed_off] - (*pad)[pad_off];
-      candidate.devices = {seg.phys[pad_dev], seg.phys[mixed_dev]};
+      candidate.value = value;
+      candidate.devices = {shape.phys()[shape.path(p).pad_slot],
+                           shape.phys()[shape.path(p).mixed_slot]};
       units[u].candidates.push_back(std::move(candidate));
-    }
+    });
   }
 
   bool located = false;
@@ -1156,26 +1034,21 @@ std::vector<size_t> FaultTolerantScecProtocol::DecodeLocating(
       }
     }
   }
-
-  std::vector<size_t> missing;
-  for (size_t g = 0; g < decoded->size(); ++g) {
-    if (!(*decoded)[g].has_value()) missing.push_back(g);
-  }
-  return missing;
+  return MissingRows(*decoded);
 }
 
 void FaultTolerantScecProtocol::RunCanaries() {
   if (!ft_.reputation.enabled) return;
   SCEC_CHECK(canary_probes_.empty());
-  for (size_t d = 0; d < devices_.size(); ++d) {
-    if (devices_[d].evicted || !reputation_.CanaryDue(d)) continue;
+  for (size_t d = 0; d < fleet_.size(); ++d) {
+    if (evicted_[d] || !reputation_.CanaryDue(d)) continue;
     // Re-use the device's existing staged share: the probe costs one query
     // round trip and zero staging, and its response never enters a decode.
     for (size_t s = 0; s < segments_.size(); ++s) {
       const Segment& seg = segments_[s];
       bool sent = false;
-      for (size_t j = 0; j < seg.phys.size(); ++j) {
-        if (seg.phys[j] != d || !seg.actors[j]->HasShare()) continue;
+      for (size_t j = 0; j < seg.shape.num_slots(); ++j) {
+        if (seg.shape.phys()[j] != d || !seg.actors[j]->HasShare()) continue;
         canary_probes_[{s, j}] = d;
         reputation_.NoteCanarySent(d);
         ++recovery_.canaries_sent;
@@ -1184,29 +1057,10 @@ void FaultTolerantScecProtocol::RunCanaries() {
           obs::Tracer::Global().RecordSimInstant("canary", queue_.now(),
                                                  /*tid=*/d, "fault");
         }
-        EdgeDeviceActor* actor = seg.actors[j].get();
-        const std::vector<double> x = *current_x_;
-        const uint64_t x_bytes = static_cast<uint64_t>(
-            static_cast<double>(x.size()) * options_.value_bytes);
-        metrics_.query_uplink_bytes += x_bytes;
-        ++recovery_.queries_dispatched;
         // attempt = 0 marks a canary in the journal: the double-spend audit
         // must not mistake a probe of an already-answered share for a
         // re-billed dispatch.
-        if (journal_ != nullptr) {
-          recovery::JournalEvent event;
-          event.kind = recovery::JournalEventKind::kDispatch;
-          event.query_id = current_query_id_;
-          event.segment = s;
-          event.local = j;
-          event.device = d;
-          event.attempt = 0;
-          event.bytes = x_bytes;
-          JournalAppend(std::move(event), /*committed=*/true);
-        }
-        SendMsg(kUserNode, DeviceNode(d), x_bytes,
-                [actor, x]() { actor->OnQueryDelivered(x); },
-                /*abort_on_failure=*/false);
+        SendQuery(s, j, /*attempt=*/0, /*committed=*/true);
         sent = true;
         break;
       }
@@ -1247,7 +1101,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   }
 
   for (Segment& seg : segments_) {
-    seg.responses.assign(seg.scheme.num_devices(), std::nullopt);
+    seg.responses.assign(seg.shape.num_slots(), std::nullopt);
   }
 
   // Round 0: query every non-evicted holder across all staged segments
@@ -1260,8 +1114,8 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   std::vector<Pending> round;
   for (size_t s = 0; s < segments_.size(); ++s) {
     if (!segments_[s].staged) continue;
-    for (size_t j = 0; j < segments_[s].scheme.num_devices(); ++j) {
-      const size_t phys = segments_[s].phys[j];
+    for (size_t j = 0; j < segments_[s].shape.num_slots(); ++j) {
+      const size_t phys = segments_[s].shape.phys()[j];
       if (resuming && s == 0) {
         const auto it = resume_responses_.find(j);
         if (it != resume_responses_.end() &&
@@ -1299,10 +1153,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   double last_round_end = ft_.hedging ? round_settled_s_ : queue_.now();
   double last_round_settle = round_settled_s_;
   recovery_.first_attempt_completion_s = last_round_end - query_start;
-  if (hedges_this_query_ > 0) {
-    SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
-        << "hedge re-encode leaked data rows (cumulative ITS violated)";
-  }
+  if (hedges_this_query_ > 0) CheckCumulativeSecurity("hedge");
 
   std::vector<std::optional<double>> decoded(a_->rows());
   std::vector<size_t> lost = ft_.byzantine_tolerance > 0
@@ -1323,96 +1174,53 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
         "fault");
     const SimTime round_start = queue_.now();
 
-    // Re-plan the lost rows with TA2 over the surviving fleet.
-    std::vector<size_t> survivor_phys;
-    DeviceFleet survivors;
-    for (size_t d = 0; d < devices_.size(); ++d) {
-      if (!UsableDevice(d)) continue;
-      survivor_phys.push_back(d);
-      survivors.Add(devices_[d].spec);
-    }
-    if (survivor_phys.size() < 2) {
+    // Re-plan the lost rows with TA2 over the surviving fleet and re-encode
+    // them with FRESH pads (repair_rng_ never rewinds).
+    Result<EncodedSegment> repair = BuildRepairSegment(
+        *a_, lost, fleet_, [this](size_t d) { return UsableDevice(d); },
+        repair_rng_);
+    if (!repair.ok()) {
       current_x_ = nullptr;
-      return Infeasible("fewer than 2 devices survive; MCSCEC requires k >= 2");
+      return repair.status();
     }
-    McscecProblem problem;
-    problem.m = lost.size();
-    problem.l = deployment_->l;
-    problem.fleet = std::move(survivors);
-    auto planned = [&] {
-      SCEC_TRACE_SPAN("recovery/replan", "fault");
-      return PlanMcscec(problem, TaAlgorithm::kTA2);
-    }();
-    if (!planned.ok()) {
-      current_x_ = nullptr;
-      return planned.status();
-    }
-    const Plan& plan = planned.value();
-    StructuredCode code(lost.size(), plan.allocation.r);
-    Status secure = CheckSchemeSecure(code, plan.scheme);
-    if (!secure.ok()) {
-      current_x_ = nullptr;
-      return secure;
-    }
-
-    // Re-encode with FRESH pads (repair_rng_ never rewinds); see the header
-    // for why pad reuse would break cumulative ITS.
-    Matrix<double> a_lost(lost.size(), deployment_->l);
-    for (size_t p = 0; p < lost.size(); ++p) {
-      a_lost.SetRow(p, a_->Row(lost[p]));
-    }
-    EncodedDeployment<double> encoded = [&] {
-      SCEC_TRACE_SPAN("recovery/re_encode", "fault");
-      return EncodeDeployment(code, plan.scheme, a_lost, repair_rng_);
-    }();
-
-    std::vector<size_t> phys;
-    phys.reserve(plan.participating.size());
-    for (size_t survivor_index : plan.participating) {
-      phys.push_back(survivor_phys[survivor_index]);
-    }
+    const double plan_cost = repair->plan_cost;
 
     const SimTime stage_start = queue_.now();
-    AddSegment(lost, code, plan.scheme, std::move(phys),
-               std::move(encoded.shares));
+    AddSegment(std::move(repair).value());
     StageSegment(segments_.size() - 1);
     recovery_.recovery_staging_seconds += queue_.now() - stage_start;
     if (obs::Tracer::Enabled()) {
       obs::Tracer::Global().RecordSimSpan("recovery_stage", stage_start,
                                           queue_.now() - stage_start,
-                                          /*tid=*/devices_.size(), "fault");
+                                          /*tid=*/fleet_.size(), "fault");
     }
     ++recovery_.recovery_rounds;
     recovery_.replanned_rows += lost.size();
-    recovery_.recovery_plan_cost += plan.allocation.total_cost;
+    recovery_.recovery_plan_cost += plan_cost;
 
     // Def. 2 must hold for every device's view ACROSS rounds, not just
     // within the new encoding. Exact-rank check; abort on any leak.
-    SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
-        << "recovery re-encode leaked data rows (cumulative ITS violated)";
+    CheckCumulativeSecurity("recovery");
 
     Segment& seg = segments_.back();
     std::vector<Pending> recovery_round;
-    for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
+    for (size_t j = 0; j < seg.shape.num_slots(); ++j) {
       Pending pending;
       pending.segment = segments_.size() - 1;
       pending.local = j;
-      pending.phys = seg.phys[j];
+      pending.phys = seg.shape.phys()[j];
       recovery_round.push_back(pending);
     }
     CollectRound(&recovery_round);
     last_round_end = ft_.hedging ? round_settled_s_ : queue_.now();
     last_round_settle = round_settled_s_;
-    if (hedges_this_query_ > 0) {
-      SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
-          << "hedge re-encode leaked data rows (cumulative ITS violated)";
-    }
+    if (hedges_this_query_ > 0) CheckCumulativeSecurity("hedge");
     lost = ft_.byzantine_tolerance > 0 ? DecodeLocating(&decoded)
                                        : DecodeAvailable(&decoded);
     if (obs::Tracer::Enabled()) {
       obs::Tracer::Global().RecordSimSpan(
           "recovery_round " + std::to_string(rounds_this_query), round_start,
-          queue_.now() - round_start, /*tid=*/devices_.size(), "fault");
+          queue_.now() - round_start, /*tid=*/fleet_.size(), "fault");
     }
   }
 
@@ -1423,7 +1231,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
     ResilienceMetrics::Get().byzantine_masked.Increment();
     if (obs::Tracer::Enabled()) {
       obs::Tracer::Global().RecordSimInstant("masked_query", queue_.now(),
-                                             /*tid=*/devices_.size(), "fault");
+                                             /*tid=*/fleet_.size(), "fault");
     }
     recovery::JournalEvent event;
     event.kind = recovery::JournalEventKind::kMaskedQuery;
@@ -1441,7 +1249,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimSpan("query", query_start,
                                         queue_.now() - query_start,
-                                        /*tid=*/devices_.size());
+                                        /*tid=*/fleet_.size());
   }
   metrics_.query_completion_time = recovery_.total_completion_s;
   metrics_.devices.clear();
@@ -1471,57 +1279,34 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   return result;
 }
 
-void FaultTolerantScecProtocol::RestorePriorSegment(
-    const recovery::JournalSegmentRecord& record) {
-  // Mirror of AddSegment's held-row bookkeeping for a segment a PREVIOUS
-  // incarnation staged. No actors, no shares, no staging: the devices still
-  // physically hold those coefficient rows, so the cumulative Def. 2 check
-  // must keep seeing them — forgetting a dead generation's pads is exactly
-  // how pad reuse would slip past the verifier.
-  SCEC_CHECK_GE(record.m, 1u);
-  SCEC_CHECK_GE(record.r, 1u);
-  SCEC_CHECK_LE(record.r, record.m);
-  StructuredCode code(record.m, record.r);
-  size_t start = 0;
-  for (size_t j = 0; j < record.row_counts.size(); ++j) {
-    SCEC_CHECK_LT(record.phys[j], devices_.size());
-    DeviceState& dev = devices_[record.phys[j]];
-    for (size_t row = 0; row < record.row_counts[j]; ++row) {
-      const CodedRowSpec spec = code.RowSpec(start + row);
-      HeldRow held;
-      if (spec.data_row.has_value()) {
-        SCEC_CHECK_LT(*spec.data_row, record.data_rows.size());
-        held.data_row = record.data_rows[*spec.data_row];
-      }
-      held.pad_col = pads_total_ + spec.random_row;
-      dev.held.push_back(held);
-    }
-    start += record.row_counts[j];
-  }
-  pads_total_ += record.r;
-  ++recovery_.restored_segments;
-  RecoveryInstruments::Get().restored_segments.Increment();
-}
-
-void FaultTolerantScecProtocol::RestoreFromReplay(
+Status FaultTolerantScecProtocol::RestoreFromReplay(
     const recovery::ReplayState& state) {
   SCEC_CHECK(staged_) << "RestoreFromReplay() requires Stage() first";
   SCEC_CHECK_GT(ft_.generation, 0u)
       << "generation 0 is the original coordinator; nothing to restore";
 
+  // Segments a PREVIOUS incarnation staged: no actors, no shares, no
+  // staging, but the devices still physically hold those coefficient rows,
+  // so the cumulative Def. 2 ledger must keep seeing them — forgetting a
+  // dead generation's pads is exactly how pad reuse would slip past it.
   for (const recovery::JournalSegmentRecord& record : state.prior_segments) {
-    RestorePriorSegment(record);
+    SCEC_ASSIGN_OR_RETURN(
+        const SegmentShape shape,
+        SegmentShape::FromRecord(record, fleet_.size(), a_->rows()));
+    ledger_.Record(shape);
+    ++recovery_.restored_segments;
+    RecoveryInstruments::Get().restored_segments.Increment();
   }
   for (const size_t device : state.evicted_devices) {
-    SCEC_CHECK_LT(device, devices_.size());
-    if (devices_[device].evicted) continue;
-    devices_[device].evicted = true;
+    SCEC_CHECK_LT(device, fleet_.size());
+    if (evicted_[device]) continue;
+    evicted_[device] = true;
     ++recovery_.restored_evictions;
     RecoveryInstruments::Get().restored_evictions.Increment();
   }
   if (ft_.reputation.enabled) {
     for (const size_t device : state.quarantined_devices) {
-      SCEC_CHECK_LT(device, devices_.size());
+      SCEC_CHECK_LT(device, fleet_.size());
       // Re-poison the tracker until the device is quarantined again (its
       // canary path back stays open, same as before the crash).
       for (int i = 0; i < 64 && reputation_.Usable(device); ++i) {
@@ -1542,36 +1327,31 @@ void FaultTolerantScecProtocol::RestoreFromReplay(
 
   // The restored cumulative view — this generation's base + guards PLUS all
   // prior generations' segments — must still be ITS-secure. A leak here
-  // means a pad stream was replayed across the crash.
-  SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
-      << "restored cumulative view leaks data rows (pad reuse across restart)";
+  // means a pad stream was replayed across the crash, or the journal was
+  // doctored.
+  if (!VerifyCumulativeSecurity().all_secure) {
+    return SecurityViolation(
+        "restored cumulative view leaks data rows (pad reuse across restart)");
+  }
 
   RecoveryInstruments::Get().restarts.Increment();
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimInstant(
         "restart(gen " + std::to_string(ft_.generation) + ")", queue_.now(),
-        /*tid=*/devices_.size(), "fault");
+        /*tid=*/fleet_.size(), "fault");
   }
+  return Status::Ok();
 }
 
 SchemeSecurityReport FaultTolerantScecProtocol::VerifyCumulativeSecurity()
     const {
-  const size_t m = a_->rows();
-  const size_t width = m + pads_total_;
-  std::vector<Matrix<Gf61>> blocks;
-  blocks.reserve(devices_.size());
-  for (const DeviceState& dev : devices_) {
-    Matrix<Gf61> block(dev.held.size(), width);
-    for (size_t i = 0; i < dev.held.size(); ++i) {
-      const HeldRow& held = dev.held[i];
-      if (held.data_row.has_value()) {
-        block(i, *held.data_row) = Gf61::One();
-      }
-      block(i, m + held.pad_col) = Gf61::One();
-    }
-    blocks.push_back(std::move(block));
-  }
-  return VerifyCumulativeViews(blocks, m);
+  return ledger_.Verify();
+}
+
+void FaultTolerantScecProtocol::CheckCumulativeSecurity(
+    const char* round) const {
+  SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
+      << round << " re-encode leaked data rows (cumulative ITS violated)";
 }
 
 }  // namespace scec::sim

@@ -44,9 +44,9 @@
 //                CUMULATIVE view across encoding rounds (reusing a pad lets
 //                old−new rows cancel it and expose data); the protocol
 //                re-verifies this after every recovery round — and after
-//                every query that dispatched a hedge — with exact
-//                GF(2^61−1) ranks (VerifyCumulativeViews) and aborts on any
-//                leak.
+//                every query that dispatched a hedge — with the exact
+//                GF(2^61−1) rank check of core/segment.h's
+//                CumulativeViewLedger and aborts on any leak.
 //   Masking    — with `byzantine_tolerance` t > 0, Stage() provisions t
 //                GUARD segments (core/byzantine.h): each re-encodes ALL m
 //                data rows with fresh pads onto a disjoint pair of spare
@@ -62,13 +62,13 @@
 //                The evict-and-replan path remains the fallback whenever
 //                the liars are not locatable (> t, or guard paths broken).
 //
-// Each encoding round is a `Segment`: a set of data rows, its own structured
-// code + scheme, and fresh actors mapped onto the surviving physical
-// devices. Hedge segments are staged asynchronously mid-round; recovery
-// segments synchronously between rounds. A query is answered by decoding
-// each data row from the first segment that yields it, so the protocol keeps
-// serving queries after evictions without touching rows that never left
-// healthy devices.
+// Each encoding round is a segment (core/segment.h): a set of data rows,
+// its own structured code + scheme, and fresh actors mapped onto the
+// surviving physical devices. Hedge segments are staged asynchronously
+// mid-round; recovery segments synchronously between rounds. A query is
+// answered by decoding each data row from the first segment that yields it,
+// so the protocol keeps serving queries after evictions without touching
+// rows that never left healthy devices.
 
 #pragma once
 
@@ -86,6 +86,7 @@
 #include "common/retry.h"
 #include "common/retry_budget.h"
 #include "core/pipeline.h"
+#include "core/segment.h"
 #include "recovery/journal.h"
 #include "sim/actors.h"
 #include "sim/latency_estimator.h"
@@ -228,8 +229,10 @@ class FaultTolerantScecProtocol {
   // ITS verification still sees them, adopts the query-id sequence, and
   // arms RunQuery to re-verify and inject the in-flight query's already
   // paid-for base-segment responses instead of re-dispatching (exactly-once
-  // Eq. (1) accounting). Aborts if the restored cumulative view leaks.
-  void RestoreFromReplay(const recovery::ReplayState& state);
+  // Eq. (1) accounting). A journaled segment that does not fit is a
+  // kDecodeFailure, a leaking restored view a kSecurityViolation; after
+  // either, discard the protocol.
+  Status RestoreFromReplay(const recovery::ReplayState& state);
 
   // Phases 2–3 with detection + recovery. Returns the decoded A·x, or
   //   kInfeasible — fewer than 2 devices survive to re-plan over,
@@ -266,35 +269,18 @@ class FaultTolerantScecProtocol {
  private:
   static constexpr size_t kNoHedgeGroup = static_cast<size_t>(-1);
 
-  // One encoding round: `data_rows[p]` is the global row of A encoded at
-  // data position p of this segment's structured code.
+  // One encoding round (core/segment.h) plus its engine-side state.
   struct Segment {
-    std::vector<size_t> data_rows;
-    StructuredCode code{1, 1};
-    LcecScheme scheme;
-    std::vector<size_t> phys;  // scheme device -> fleet index
+    SegmentShape shape;
     ResultVerifier<double> verifier;
     // Cloud-side copy of each device's B_j·T, shipped at staging time.
-    std::vector<Matrix<double>> share_rows;
+    std::vector<DeviceShare<double>> shares;
     std::vector<std::unique_ptr<EdgeDeviceActor>> actors;
     // Verified responses of the current query (scheme order).
     std::vector<std::optional<std::vector<double>>> responses;
     // False until every share of the segment reached its device. Hedge
     // segments stage asynchronously; an unstaged segment is never queried.
     bool staged = false;
-  };
-
-  // One coefficient row a device holds, over the extended basis
-  // [A_1..A_m | pad columns of every round]; used for cumulative ITS.
-  struct HeldRow {
-    std::optional<size_t> data_row;  // global row of A, if mixed
-    size_t pad_col;                  // absolute pad index across all rounds
-  };
-
-  struct DeviceState {
-    EdgeDevice spec;
-    bool evicted = false;
-    std::vector<HeldRow> held;  // every coefficient row ever staged
   };
 
   // In-flight collection state for one (segment, device) of the current
@@ -326,23 +312,24 @@ class FaultTolerantScecProtocol {
 
   void BuildTopology();
   void SendMsg(NodeId from, NodeId to, uint64_t bytes,
-               EventQueue::Callback on_delivered, bool abort_on_failure);
+               EventQueue::Callback on_delivered);
   void SendMsgEx(NodeId from, NodeId to, uint64_t bytes,
                  EventQueue::Callback on_delivered,
                  EventQueue::Callback on_failure);
 
-  // Builds a segment (actors wired to OnResponse) from an encode result and
-  // stages its shares; appends the held coefficient rows to device states.
-  void AddSegment(std::vector<size_t> data_rows, StructuredCode code,
-                  LcecScheme scheme, std::vector<size_t> phys,
-                  std::vector<DeviceShare<double>> shares);
+  // Adds an encoded segment (verifier, actors wired to OnResponse), records
+  // its rows in the cumulative view ledger and journals its shape.
+  void AddSegment(EncodedSegment encoded);
+  // Stages synchronously; a share the reliable channel gives up on aborts.
   void StageSegment(size_t segment_index);
   // Ships the segment's shares without blocking the event loop; exactly one
   // of `on_staged` / `on_abort` fires (abort only under lossy links). Does
   // NOT flip `Segment::staged` — the on_staged callback decides, so a hedge
-  // superseded mid-staging never becomes a live segment.
-  void StageSegmentAsync(size_t segment_index, EventQueue::Callback on_staged,
-                         EventQueue::Callback on_abort);
+  // superseded mid-staging never becomes a live segment. Returns the bytes
+  // put on the wire.
+  uint64_t StageSegmentAsync(size_t segment_index,
+                             EventQueue::Callback on_staged,
+                             EventQueue::Callback on_abort);
 
   // Deadline from the device's link/compute model (PR 1 behaviour).
   double ModelDeadlineFor(const Pending& pending) const;
@@ -353,6 +340,10 @@ class FaultTolerantScecProtocol {
   double HedgeDelayFor(const Pending& pending) const;
 
   void Dispatch(Pending* pending);
+  // Sends the current x to one segment slot's device, journaling the
+  // billing entry (attempt 0 = canary probe) before the bytes move.
+  void SendQuery(size_t segment, size_t local, uint64_t attempt,
+                 bool committed);
   void OnResponse(size_t segment, size_t local, std::vector<double> response);
 
   // Marks the pending resolved, maintains the round's unresolved count, and
@@ -380,7 +371,7 @@ class FaultTolerantScecProtocol {
   void ProvisionGuards();
   // Evicted or quarantined devices get no dispatches of any kind.
   bool UsableDevice(size_t fleet_index) const {
-    return !devices_[fleet_index].evicted && reputation_.Usable(fleet_index);
+    return !evicted_[fleet_index] && reputation_.Usable(fleet_index);
   }
   // Flags a digest-failed (or locator-implicated) device: quarantine via
   // the reputation tracker plus per-query flag bookkeeping.
@@ -397,9 +388,11 @@ class FaultTolerantScecProtocol {
   // Crash-recovery internals. JournalAppend fills the generation and
   // forwards to the attached journal (no-op when none is attached).
   void JournalAppend(recovery::JournalEvent event, bool committed);
-  // Re-accounts one prior-incarnation segment's held rows and pad columns
-  // (mirrors AddSegment's bookkeeping without actors or staging).
-  void RestorePriorSegment(const recovery::JournalSegmentRecord& record);
+  // A device standing change: trace instant `what`, then a committed
+  // journal entry with the recovery::kEvictReason* code.
+  void RecordStanding(size_t device, uint64_t reason, const char* what);
+  // Aborts if a guard/recovery/hedge re-encode leaked (cumulative Def. 2).
+  void CheckCumulativeSecurity(const char* round) const;
 
   const Deployment<double>* deployment_;
   const Matrix<double>* a_;
@@ -416,10 +409,11 @@ class FaultTolerantScecProtocol {
   ChaCha20Rng hedge_rng_;
   ChaCha20Rng guard_rng_;
 
-  std::vector<DeviceState> devices_;  // full fleet, by fleet index
+  DeviceFleet fleet_;             // full fleet, by fleet index
+  std::vector<bool> evicted_;     // per fleet device
   std::vector<LatencyEstimator> latency_;  // one per fleet device
   std::vector<Segment> segments_;
-  size_t pads_total_ = 0;  // pad columns allocated across all rounds
+  CumulativeViewLedger ledger_{0, 0};  // every row each device was sent
 
   // Current-query routing: pending_index_[segment][local] -> Pending.
   std::vector<std::vector<Pending*>> pending_index_;

@@ -334,5 +334,87 @@ TEST(CrashRecovery, TornJournalTailStillRestarts) {
   EXPECT_TRUE(CloseEnough(*result, f.expected[2]));
 }
 
+// Restarts from a real journal with one CRC-valid kSegmentAdded record
+// appended: the record is well-framed, so only the restore's own checks
+// stand between it and the protocol.
+Result<std::unique_ptr<DurableCoordinator>> RestartWithAppendedSegment(
+    const Fixture& f, const JournalSegmentRecord& record) {
+  DurableCoordinatorOptions options;
+  options.sealing_key = 0x5EA1ull;
+  std::string snapshot;
+  std::ostringstream journal;
+  auto started = DurableCoordinator::Start(f.deployment, &f.a,
+                                           f.problem.fleet.devices(),
+                                           &snapshot, &journal, options);
+  EXPECT_TRUE(started.ok()) << started.status();
+  if (!started.ok()) return started.status();
+  EXPECT_TRUE((*started)->Query(f.xs[0]).ok());
+  started->reset();
+
+  JournalEvent event;
+  event.kind = JournalEventKind::kSegmentAdded;
+  event.segment = record.index;
+  event.segment_record = record;
+  QueryJournal hostile(&journal, /*snapshot_crc=*/0, /*group=*/1,
+                       /*write_header=*/false);
+  hostile.AppendCommitted(event);
+
+  std::ostringstream tail;
+  return DurableCoordinator::Restart(snapshot, journal.str(), &f.a,
+                                     f.problem.fleet.devices(), &tail,
+                                     options);
+}
+
+TEST(CrashRecovery, LeakingJournaledSegmentIsATypedError) {
+  const Fixture f = MakeFixture(27);
+  // A pad row and the mixed row it masks, both on device 0: the restored
+  // cumulative view would expose A_0.
+  JournalSegmentRecord record;
+  record.index = 1;
+  record.m = 1;
+  record.r = 1;
+  record.row_counts = {1, 1};
+  record.phys = {0, 0};
+  record.data_rows = {0};
+  const auto restarted = RestartWithAppendedSegment(f, record);
+  ASSERT_FALSE(restarted.ok());
+  EXPECT_EQ(restarted.status().code(), ErrorCode::kSecurityViolation);
+}
+
+TEST(CrashRecovery, JournaledSegmentOutsideTheDeploymentIsATypedError) {
+  const Fixture f = MakeFixture(28);
+  JournalSegmentRecord valid;
+  valid.index = 1;
+  valid.m = 2;
+  valid.r = 2;
+  valid.row_counts = {2, 2};
+  valid.phys = {0, 1};
+  valid.data_rows = {0, 1};
+  {
+    JournalSegmentRecord record = valid;
+    record.phys = {0, f.problem.fleet.size()};
+    const auto restarted = RestartWithAppendedSegment(f, record);
+    ASSERT_FALSE(restarted.ok());
+    EXPECT_EQ(restarted.status().code(), ErrorCode::kDecodeFailure);
+    EXPECT_NE(restarted.status().message().find("outside the fleet"),
+              std::string::npos)
+        << restarted.status();
+  }
+  {
+    JournalSegmentRecord record = valid;
+    record.data_rows = {0, f.problem.m};
+    const auto restarted = RestartWithAppendedSegment(f, record);
+    ASSERT_FALSE(restarted.ok());
+    EXPECT_EQ(restarted.status().code(), ErrorCode::kDecodeFailure);
+    EXPECT_NE(restarted.status().message().find("outside the matrix"),
+              std::string::npos)
+        << restarted.status();
+  }
+  // The same record inside the deployment restores cleanly.
+  const auto restarted = RestartWithAppendedSegment(f, valid);
+  ASSERT_TRUE(restarted.ok()) << restarted.status();
+  EXPECT_EQ((*restarted)->protocol().recovery_metrics().restored_segments, 1u);
+}
+
 }  // namespace
 }  // namespace scec::recovery

