@@ -203,10 +203,8 @@ struct AbResult {
 // Paired trials: the same deployment and the SAME straggler seed per trial,
 // run once with hedging off and once with hedging + adaptive timeouts on, so
 // the two arms see identical slowdown draws. Both arms are measured at
-// settled_completion_s (time the last pending of the final round resolved),
-// the semantics-neutral completion time — query_completion_time keeps the
-// historical queue-drain value when hedging is off, which would compare
-// stale-deadline drain against settle and taint the A/B.
+// total_completion_s (time the last pending of the final round resolved),
+// which means the same thing with hedging on and off.
 //
 // The fleet is compute-bound on purpose (slow cores, fast links): the
 // exponential slowdown multiplies compute time, so a straggler's response
@@ -262,7 +260,7 @@ AbResult RunHedgeAb(size_t trials, size_t queries, uint64_t seed) {
           continue;
         }
         (hedging ? result.on : result.off)
-            .Add(protocol.recovery_metrics().settled_completion_s);
+            .Add(protocol.recovery_metrics().total_completion_s);
       }
       result.ok = result.ok && protocol.VerifyCumulativeSecurity().all_secure;
       const auto& recovery = protocol.recovery_metrics();

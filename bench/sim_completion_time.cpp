@@ -101,11 +101,8 @@ int main(int argc, char** argv) {
                                           coding_rng);
     deployment.shares = std::move(encoded.shares);
 
-    std::vector<scec::EdgeDevice> specs;
-    for (size_t idx : plan.participating) specs.push_back(problem.fleet[idx]);
-
-    const auto clean =
-        scec::sim::SimulateDeployment(deployment, specs, a, x);
+    const auto clean = scec::sim::SimulateDeployment(
+        deployment, problem.fleet.devices(), a, x);
     if (!clean.ok()) {
       std::cerr << clean.status() << "\n";
       return 1;
@@ -114,8 +111,8 @@ int main(int argc, char** argv) {
     scec::sim::SimOptions straggly;
     straggly.straggler.kind = scec::sim::StragglerKind::kExponentialSlowdown;
     straggly.straggler.rate = 2.0;
-    const auto slow =
-        scec::sim::SimulateDeployment(deployment, specs, a, x, straggly);
+    const auto slow = scec::sim::SimulateDeployment(
+        deployment, problem.fleet.devices(), a, x, straggly);
     if (!slow.ok()) {
       std::cerr << slow.status() << "\n";
       return 1;

@@ -5,7 +5,8 @@
 // makespan with stop-and-wait sequential queries. Expected shape: the
 // pipelined makespan approaches the bottleneck-resource bound (the slowest
 // device's compute or link), so speedup grows with stream depth and
-// saturates.
+// saturates. Sequential time is the sum of per-query completion times (the
+// next query goes out the moment the previous one settles).
 
 #include <algorithm>
 #include <iostream>
@@ -14,7 +15,7 @@
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "core/pipeline.h"
-#include "sim/protocol.h"
+#include "sim/fault_tolerant_protocol.h"
 #include "telemetry.h"
 #include "workload/device_profiles.h"
 
@@ -49,11 +50,6 @@ int main(int argc, char** argv) {
     std::cerr << deployment.status() << "\n";
     return 1;
   }
-  std::vector<scec::EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
-
   scec::TablePrinter table({"depth", "sequential(ms)", "pipelined(ms)",
                             "speedup", "queries/s (pipelined)"});
   int failures = 0;
@@ -64,18 +60,28 @@ int main(int argc, char** argv) {
       xs.push_back(scec::RandomVector<double>(problem.l, rng));
     }
 
-    scec::sim::ScecProtocol sequential(&*deployment, specs, {});
+    scec::sim::FaultTolerantScecProtocol sequential(
+        &*deployment, &a, problem.fleet.devices(), {});
     sequential.Stage();
     double sequential_total = 0.0;
     for (const auto& x : xs) {
-      const double before = sequential.queue().now();
-      (void)sequential.RunQuery(x);
-      sequential_total += sequential.queue().now() - before;
+      const auto decoded = sequential.RunQuery(x);
+      if (!decoded.ok()) {
+        std::cerr << decoded.status() << "\n";
+        return 1;
+      }
+      sequential_total += sequential.metrics().query_completion_time;
     }
 
-    scec::sim::ScecProtocol pipelined(&*deployment, specs, {});
+    scec::sim::FaultTolerantScecProtocol pipelined(
+        &*deployment, &a, problem.fleet.devices(), {});
     pipelined.Stage();
-    const auto stream = pipelined.RunQueryStream(xs);
+    const auto streamed = pipelined.RunQueryStream(xs);
+    if (!streamed.ok()) {
+      std::cerr << streamed.status() << "\n";
+      return 1;
+    }
+    const auto& stream = *streamed;
 
     const double speedup = sequential_total / stream.makespan;
     if (depth > 1 && speedup < 1.0) ++failures;

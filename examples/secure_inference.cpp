@@ -89,11 +89,6 @@ int main(int argc, char** argv) {
             << "%).\nNo single device can reconstruct any row of W (ITS"
             << " verified over GF(2^61-1)).\n\n";
 
-  std::vector<scec::EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
-
   scec::RunningStat latency_ms;
   size_t agreement = 0;
   for (int64_t q = 0; q < queries; ++q) {
@@ -105,7 +100,8 @@ int main(int argc, char** argv) {
       x[f] = signal + 0.3 * rng.NextGaussian();
     }
 
-    const auto sim = scec::sim::SimulateDeployment(*deployment, specs, w, x);
+    const auto sim = scec::sim::SimulateDeployment(
+        *deployment, problem.fleet.devices(), w, x);
     if (!sim.ok()) {
       std::cerr << sim.status() << "\n";
       return 1;

@@ -129,22 +129,4 @@ void EdgeDeviceActor::OnQueryDelivered(std::vector<double> x) {
   });
 }
 
-ResponseCollector::ResponseCollector(size_t num_devices,
-                                     std::function<void()> on_complete)
-    : responses_(num_devices),
-      seen_(num_devices, false),
-      on_complete_(std::move(on_complete)) {
-  SCEC_CHECK_GT(num_devices, 0u);
-}
-
-void ResponseCollector::OnResponse(size_t device,
-                                   std::vector<double> response) {
-  SCEC_CHECK_LT(device, responses_.size());
-  SCEC_CHECK(!seen_[device]) << "duplicate response from device " << device;
-  seen_[device] = true;
-  responses_[device] = std::move(response);
-  ++received_;
-  if (Complete() && on_complete_ != nullptr) on_complete_();
-}
-
 }  // namespace scec::sim

@@ -1,10 +1,12 @@
 // SPDX-License-Identifier: MIT
 //
-// Actors of the SCEC protocol (§II-D framework): a cloud that stages coded
-// shares, edge devices that multiply their share by incoming queries, and a
-// user that broadcasts queries and decodes responses. Actors communicate
-// only through the Network (wired together by ScecProtocol in protocol.h),
-// so the simulation reproduces the message pattern of a real deployment.
+// Actors of the SCEC protocol (§II-D framework): edge devices that store a
+// coded share and multiply it by incoming queries. The cloud and the user
+// are the fixed nodes below; the protocol engines (FaultTolerantScecProtocol
+// in fault_tolerant_protocol.h, RedundantScecProtocol in
+// redundant_protocol.h) stage shares, send queries, collect the responses
+// and decode. Actors communicate only through the Network, so the
+// simulation reproduces the message pattern of a real deployment.
 
 #pragma once
 
@@ -124,30 +126,6 @@ class EdgeDeviceActor {
   // ByzantineSpec bookkeeping: coin draws and lies told, per spec index.
   uint64_t byzantine_draws_ = 0;
   std::vector<size_t> byzantine_lies_;
-};
-
-// The user-side response collector: counts responses per device (in scheme
-// order) and fires `on_complete` once every participating device answered.
-class ResponseCollector {
- public:
-  ResponseCollector(size_t num_devices, std::function<void()> on_complete);
-
-  void OnResponse(size_t device, std::vector<double> response);
-
-  bool Complete() const { return received_ == responses_.size(); }
-  const std::vector<std::vector<double>>& responses() const {
-    return responses_;
-  }
-  // Arrival time of the last response (== query completion, pre-decode).
-  double last_arrival() const { return last_arrival_; }
-  void NoteArrivalTime(double when) { last_arrival_ = when; }
-
- private:
-  std::vector<std::vector<double>> responses_;
-  std::vector<bool> seen_;
-  size_t received_ = 0;
-  double last_arrival_ = 0.0;
-  std::function<void()> on_complete_;
 };
 
 }  // namespace scec::sim

@@ -610,6 +610,11 @@ void FaultTolerantScecProtocol::OnResponse(size_t segment, size_t local,
   ++recovery_.responses_received;
   recovery_.response_values_received += response.size();
 
+  if (stream_inbox_ != nullptr) {
+    (*stream_inbox_)[local].emplace_back(queue_.now(), std::move(response));
+    return;
+  }
+
   // Canary probes: a quarantined device's answer is digest-checked and then
   // DISCARDED — it never enters the decode or the pending machinery.
   const auto canary = canary_probes_.find({segment, local});
@@ -1145,13 +1150,10 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
     resume_query_id_.reset();
   }
   CollectRound(&round);
-  // With hedging on, completion is when the round SETTLED (last pending
-  // resolved): the event queue also drains a cancelled straggler's late
-  // no-op response, which must not count against the hedged latency. With
-  // hedging off the two times coincide except for such trailing no-ops, and
-  // the drain time is kept for bit-compatibility with prior behaviour.
-  double last_round_end = ft_.hedging ? round_settled_s_ : queue_.now();
-  double last_round_settle = round_settled_s_;
+  // A round completes when it SETTLES (its last pending resolved), not when
+  // the event queue drains: the drain also runs stale deadline timers and a
+  // cancelled straggler's late no-op response.
+  double last_round_end = round_settled_s_;
   recovery_.first_attempt_completion_s = last_round_end - query_start;
   if (hedges_this_query_ > 0) CheckCumulativeSecurity("hedge");
 
@@ -1212,8 +1214,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
       recovery_round.push_back(pending);
     }
     CollectRound(&recovery_round);
-    last_round_end = ft_.hedging ? round_settled_s_ : queue_.now();
-    last_round_settle = round_settled_s_;
+    last_round_end = round_settled_s_;
     if (hedges_this_query_ > 0) CheckCumulativeSecurity("hedge");
     lost = ft_.byzantine_tolerance > 0 ? DecodeLocating(&decoded)
                                        : DecodeAvailable(&decoded);
@@ -1245,19 +1246,13 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
 
   current_x_ = nullptr;
   recovery_.total_completion_s = last_round_end - query_start;
-  recovery_.settled_completion_s = last_round_settle - query_start;
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimSpan("query", query_start,
-                                        queue_.now() - query_start,
+                                        recovery_.total_completion_s,
                                         /*tid=*/fleet_.size());
   }
   metrics_.query_completion_time = recovery_.total_completion_s;
-  metrics_.devices.clear();
-  for (const Segment& seg : segments_) {
-    for (const auto& actor : seg.actors) {
-      metrics_.devices.push_back(actor->metrics());
-    }
-  }
+  SnapshotDeviceMetrics();
 
   std::vector<double> result(decoded.size());
   for (size_t g = 0; g < decoded.size(); ++g) result[g] = *decoded[g];
@@ -1277,6 +1272,77 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
     recovery_.journal_commits = journal_->commits();
   }
   return result;
+}
+
+Result<FaultTolerantScecProtocol::StreamResult>
+FaultTolerantScecProtocol::RunQueryStream(
+    const std::vector<std::vector<double>>& xs) {
+  SCEC_CHECK(staged_) << "RunQueryStream() requires Stage() first";
+  SCEC_CHECK(channel_ == nullptr)
+      << "RunQueryStream() does not support lossy links";
+  SCEC_CHECK(journal_ == nullptr) << "RunQueryStream() is not journaled";
+  SCEC_CHECK_GE(xs.size(), 1u);
+  for (const std::vector<double>& x : xs) {
+    SCEC_CHECK_EQ(x.size(), deployment_->l);
+  }
+
+  Segment& base = segments_[0];
+  const size_t slots = base.shape.num_slots();
+  const SimTime start = queue_.now();
+  std::vector<std::vector<std::pair<SimTime, std::vector<double>>>> inbox(
+      slots);
+  stream_inbox_ = &inbox;
+  for (const std::vector<double>& x : xs) {
+    current_x_ = &x;
+    for (size_t j = 0; j < slots; ++j) {
+      SendQuery(/*segment=*/0, j, /*attempt=*/1, /*committed=*/false);
+    }
+  }
+  current_x_ = nullptr;
+  queue_.RunUntilEmpty();
+  stream_inbox_ = nullptr;
+  SnapshotDeviceMetrics();
+
+  StreamResult result;
+  for (size_t q = 0; q < xs.size(); ++q) {
+    SimTime last_arrival = start;
+    for (size_t j = 0; j < slots; ++j) {
+      if (inbox[j].size() != xs.size()) {
+        return Unavailable("device " + std::to_string(base.shape.phys()[j]) +
+                           " answered " + std::to_string(inbox[j].size()) +
+                           " of " + std::to_string(xs.size()) + " queries");
+      }
+      auto& [arrival, values] = inbox[j][q];
+      if (!base.verifier.Check(j, std::span<const double>(xs[q]),
+                               std::span<const double>(values))) {
+        ++recovery_.corrupt_responses;
+        return DecodeFailure("device " +
+                             std::to_string(base.shape.phys()[j]) +
+                             " failed its digest on query " +
+                             std::to_string(q));
+      }
+      last_arrival = std::max(last_arrival, arrival);
+      base.responses[j] = std::move(values);
+    }
+    std::vector<std::optional<double>> decoded(a_->rows());
+    metrics_.decode_subtractions +=
+        base.shape.DecodeInto(AnswerOf(base), &decoded);
+    std::vector<double>& out = result.decoded.emplace_back(decoded.size());
+    for (size_t g = 0; g < decoded.size(); ++g) out[g] = *decoded[g];
+    result.completion_times.push_back(last_arrival - start);
+  }
+  base.responses.assign(slots, std::nullopt);
+  result.makespan = queue_.now() - start;
+  return result;
+}
+
+void FaultTolerantScecProtocol::SnapshotDeviceMetrics() {
+  metrics_.devices.clear();
+  for (const Segment& seg : segments_) {
+    for (const auto& actor : seg.actors) {
+      metrics_.devices.push_back(actor->metrics());
+    }
+  }
 }
 
 Status FaultTolerantScecProtocol::RestoreFromReplay(

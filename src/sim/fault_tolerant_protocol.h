@@ -1,11 +1,21 @@
 // SPDX-License-Identifier: MIT
 //
-// Fault-tolerant SCEC runtime over the discrete-event simulator.
+// The SCEC protocol over the discrete-event simulator (§II-D):
 //
-// The paper's protocol (§II-D, sim/protocol.h) assumes every selected device
-// is honest and answers; a single crashed, silent, or Byzantine device stalls
-// or silently corrupts the query. This protocol keeps SCEC's guarantees under
-// the scripted faults of sim/faults.h by adding four layers:
+//   Phase 1  Coded Data Distribution — cloud sends B_j·T to each device.
+//   Phase 2  Coded Edge Computing    — user sends x; devices compute.
+//   Phase 3  Original Result Recovery — user runs the O(m) subtraction
+//            decode over the responses.
+//
+// This is the simulator's coded-protocol engine (RedundantScecProtocol, the
+// replicated-block variant, is the only other): with default options and no
+// faults it IS the paper's protocol (same staging, bytes, device work,
+// decode and completion time — tests/scec_protocol_golden.h pins it), and
+// sim/simulation.h runs it for plain simulations. The paper assumes every
+// selected device is honest and answers; a single crashed, silent, or
+// Byzantine device would stall or silently corrupt the query. This engine
+// keeps SCEC's guarantees under the scripted faults of sim/faults.h by
+// adding four layers:
 //
 //   Detection  — a per-device response deadline with exponential-backoff
 //                query re-delivery (common/retry.h), and a Freivalds digest
@@ -188,12 +198,13 @@ struct FaultToleranceOptions {
 
 class FaultTolerantScecProtocol {
  public:
-  // Unlike ScecProtocol, `fleet_specs` is the FULL fleet (one EdgeDevice per
-  // fleet index, the same fleet the deployment was planned against):
-  // recovery re-plans over the surviving fleet, so every device must have a
-  // physical identity up front. `a` is the original data matrix (the cloud
-  // keeps it; recovery re-encodes lost rows from it). Both pointers must
-  // outlive the protocol.
+  // `fleet_specs` is the FULL fleet (one EdgeDevice per fleet index, the same
+  // fleet the deployment was planned against): recovery re-plans over the
+  // surviving fleet, so every device must have a physical identity up front.
+  // Device actors are indexed by fleet index (SimOptions::faults and
+  // byzantine specs name fleet devices). `a` is the original data matrix
+  // (the cloud keeps it; recovery re-encodes lost rows from it). Both
+  // pointers must outlive the protocol.
   FaultTolerantScecProtocol(const Deployment<double>* deployment,
                             const Matrix<double>* a,
                             std::vector<EdgeDevice> fleet_specs,
@@ -237,7 +248,26 @@ class FaultTolerantScecProtocol {
   // Phases 2–3 with detection + recovery. Returns the decoded A·x, or
   //   kInfeasible — fewer than 2 devices survive to re-plan over,
   //   kInternal   — rows still undecodable after max_recovery_rounds.
+  // The query's completion time (metrics().query_completion_time) is its
+  // settle time: from dispatch until the last pending of the final round
+  // resolved. Events the queue drains after that — a stale deadline timer,
+  // a cancelled straggler's late answer — do not count.
   Result<std::vector<double>> RunQuery(const std::vector<double>& x);
+
+  // Pipelined execution of several queries on the base segment: all are
+  // dispatched back-to-back (links and single-core devices queue them) and
+  // the q-th response from a device answers query q. Requires Stage(),
+  // loss-free links (retransmissions could reorder responses) and no
+  // attached journal. No deadlines, retries or recovery: returns
+  //   kUnavailable   — a device answered a different number of queries,
+  //   kDecodeFailure — a response failed its Freivalds digest.
+  struct StreamResult {
+    std::vector<std::vector<double>> decoded;  // one A·x per query
+    std::vector<double> completion_times;      // per query, since dispatch
+    double makespan = 0.0;                     // until the last response
+  };
+  Result<StreamResult> RunQueryStream(
+      const std::vector<std::vector<double>>& xs);
 
   const RunMetrics& metrics() const { return metrics_; }
   const FaultRecoveryMetrics& recovery_metrics() const { return recovery_; }
@@ -345,6 +375,8 @@ class FaultTolerantScecProtocol {
   void SendQuery(size_t segment, size_t local, uint64_t attempt,
                  bool committed);
   void OnResponse(size_t segment, size_t local, std::vector<double> response);
+  // Refreshes metrics_.devices from every segment's actors.
+  void SnapshotDeviceMetrics();
 
   // Marks the pending resolved, maintains the round's unresolved count, and
   // records the settle time when it reaches zero.
@@ -426,6 +458,10 @@ class FaultTolerantScecProtocol {
   std::deque<HedgeGroup> hedge_groups_;
   size_t round_unresolved_ = 0;
   double round_settled_s_ = 0.0;  // sim time the last pending resolved
+  // Stream mode (RunQueryStream): base-segment responses append here, per
+  // slot in arrival order, instead of entering the pending machinery.
+  std::vector<std::vector<std::pair<SimTime, std::vector<double>>>>*
+      stream_inbox_ = nullptr;
   size_t hedges_this_query_ = 0;
 
   // Byzantine state: reputation standings, guards provisioned, the devices

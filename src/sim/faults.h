@@ -23,7 +23,7 @@
 //
 // A FaultSchedule is attached via SimOptions::faults and consulted by
 // EdgeDeviceActor (sim/actors.cpp), so the same injection layer drives
-// ScecProtocol, RedundantScecProtocol and FaultTolerantScecProtocol.
+// RedundantScecProtocol and FaultTolerantScecProtocol.
 // Injection counters are mutable: they are simulator-side bookkeeping that
 // tests use to assert a scripted fault actually fired.
 

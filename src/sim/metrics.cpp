@@ -100,7 +100,6 @@ std::string ToJson(const FaultRecoveryMetrics& metrics) {
      << ",\"first_attempt_completion_s\":"
      << Num(metrics.first_attempt_completion_s)
      << ",\"total_completion_s\":" << Num(metrics.total_completion_s)
-     << ",\"settled_completion_s\":" << Num(metrics.settled_completion_s)
      << ",\"generation\":" << metrics.generation
      << ",\"journal_events\":" << metrics.journal_events
      << ",\"journal_commits\":" << metrics.journal_commits
@@ -142,7 +141,7 @@ std::string FaultRecoveryMetricsCsvHeader() {
          "responses_received,response_values_received,recovery_rounds,"
          "replanned_rows,base_plan_cost,recovery_plan_cost,"
          "recovery_staging_seconds,first_attempt_completion_s,"
-         "total_completion_s,settled_completion_s,"
+         "total_completion_s,"
          "byzantine_guard_segments,byzantine_guard_rows,"
          "byzantine_guard_cost,byzantine_masked_queries,"
          "byzantine_located_liars,byzantine_fallback_locates,"
@@ -170,7 +169,7 @@ std::string ToCsvRow(const FaultRecoveryMetrics& metrics) {
      << ',' << metrics.replanned_rows << ',' << metrics.base_plan_cost << ','
      << metrics.recovery_plan_cost << ',' << metrics.recovery_staging_seconds
      << ',' << metrics.first_attempt_completion_s << ','
-     << metrics.total_completion_s << ',' << metrics.settled_completion_s
+     << metrics.total_completion_s
      << ',' << metrics.byzantine_guard_segments << ','
      << metrics.byzantine_guard_rows << ',' << metrics.byzantine_guard_cost
      << ',' << metrics.byzantine_masked_queries << ','

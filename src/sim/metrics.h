@@ -64,7 +64,8 @@ struct RunMetrics {
 
 // Extra accounting for the fault-tolerant protocol (fault_tolerant_protocol.h):
 // what detection saw, what recovery cost. The base RunMetrics stays untouched
-// so fault-free runs compare field-by-field against ScecProtocol.
+// so fault-free runs compare field-by-field against the paper's protocol
+// (tests/scec_protocol_golden.h).
 struct FaultRecoveryMetrics {
   // Detection.
   uint64_t deadline_timeouts = 0;    // per-device deadline expiries
@@ -123,15 +124,12 @@ struct FaultRecoveryMetrics {
   uint64_t responses_received = 0;        // responses that reached the user
   uint64_t response_values_received = 0;  // values in those responses
 
-  // Latency decomposition of the query that triggered recovery.
+  // Latency decomposition of the last query. Both are settle times (the
+  // last pending of a round resolved), whatever the hedging setting; stale
+  // deadline timers draining after the decode never count.
   double first_attempt_completion_s = 0.0;  // until the first round settled
-  double total_completion_s = 0.0;          // until the final decode
-  // Until the last pending of the final round RESOLVED. total_completion_s
-  // keeps the historical queue-drain semantics when hedging is off (stale
-  // deadline timers drain after the decode and inflate it); this field is
-  // the settle time under either setting, so hedging A/B comparisons
-  // measure the same thing in both arms.
-  double settled_completion_s = 0.0;
+  double total_completion_s = 0.0;  // until the final round settled; equals
+                                    // RunMetrics::query_completion_time
 
   // Crash recovery (src/recovery). Generation 0 is the original
   // coordinator; each restart increments it. journal_* mirror the attached

@@ -3,6 +3,7 @@
 #include "sim/simulation.h"
 
 #include <cmath>
+#include <string>
 
 #include "linalg/matrix_ops.h"
 
@@ -23,17 +24,35 @@ bool NearlyEqual(std::span<const double> a, std::span<const double> b) {
 }  // namespace
 
 Result<SimulationResult> SimulateDeployment(
-    const Deployment<double>& deployment, std::vector<EdgeDevice> specs,
+    const Deployment<double>& deployment, std::vector<EdgeDevice> fleet,
     const Matrix<double>& a, const std::vector<double>& x,
     SimOptions options) {
   if (x.size() != deployment.l) {
     return InvalidArgument("query vector width does not match deployment");
   }
-  ScecProtocol protocol(&deployment, std::move(specs), options);
+  if (a.rows() != deployment.code.m() || a.cols() != deployment.l) {
+    return InvalidArgument("data matrix shape does not match deployment");
+  }
+  const size_t slots = deployment.plan.participating.size();
+  if (deployment.shares.size() != slots ||
+      deployment.plan.scheme.num_devices() != slots) {
+    return InvalidArgument(
+        "deployment has " + std::to_string(deployment.shares.size()) +
+        " shares for " + std::to_string(slots) + " participating devices");
+  }
+  for (size_t fleet_index : deployment.plan.participating) {
+    if (fleet_index >= fleet.size()) {
+      return InvalidArgument("fleet of " + std::to_string(fleet.size()) +
+                             " devices does not cover participating device " +
+                             std::to_string(fleet_index));
+    }
+  }
+  FaultTolerantScecProtocol protocol(&deployment, &a, std::move(fleet),
+                                     options);
   protocol.Stage();
 
   SimulationResult result;
-  result.decoded = protocol.RunQuery(x);
+  SCEC_ASSIGN_OR_RETURN(result.decoded, protocol.RunQuery(x));
   result.metrics = protocol.metrics();
 
   const std::vector<double> expected = MatVec(a, std::span<const double>(x));
@@ -52,13 +71,8 @@ Result<SimulationResult> SimulateScec(const McscecProblem& problem,
                                       SimOptions options) {
   SCEC_ASSIGN_OR_RETURN(Deployment<double> deployment,
                         Deploy(problem, a, coding_rng));
-  // Participating devices' hardware specs in scheme order.
-  std::vector<EdgeDevice> specs;
-  specs.reserve(deployment.plan.participating.size());
-  for (size_t fleet_index : deployment.plan.participating) {
-    specs.push_back(problem.fleet[fleet_index]);
-  }
-  return SimulateDeployment(deployment, std::move(specs), a, x, options);
+  return SimulateDeployment(deployment, problem.fleet.devices(), a, x,
+                            options);
 }
 
 }  // namespace scec::sim

@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
+
 #include "coding/result_verify.h"
 #include "common/retry.h"
 #include "linalg/matrix_ops.h"
+#include "obs/trace.h"
+#include "scec_protocol_golden.h"
 #include "sim/faults.h"
-#include "sim/protocol.h"
 #include "workload/distributions.h"
 
 namespace scec::sim {
@@ -425,32 +430,80 @@ TEST(FaultTolerantProtocol, InfeasibleWhenFleetCollapses) {
 }
 
 TEST(FaultTolerantProtocol, FaultFreeCostMatchesPlainProtocol) {
-  // Without faults the FT protocol performs the same staging and the same
-  // per-device work as the base protocol — detection must be free when
-  // nothing fails.
+  // Without faults the FT protocol performs the same staging, the same
+  // per-device work and the same decode as the paper's plain protocol —
+  // detection must be free when nothing fails. The plain protocol's numbers
+  // are the golden records of tests/scec_protocol_golden.h.
   Rig rig(16, 5, 8, 39);
-  std::vector<EdgeDevice> participating_specs;
-  for (size_t fleet_index : rig.deployment.plan.participating) {
-    participating_specs.push_back(rig.problem.fleet[fleet_index]);
-  }
-  ScecProtocol base(&rig.deployment, participating_specs, {});
-  base.Stage();
-  (void)base.RunQuery(rig.x);
-
   FaultTolerantScecProtocol ft(&rig.deployment, &rig.a,
                                rig.problem.fleet.devices(), {});
   ft.Stage();
-  ExpectDecodes(rig, ft.RunQuery(rig.x));
+  const auto result = ft.RunQuery(rig.x);
+  ExpectDecodes(rig, result);
 
-  EXPECT_EQ(ft.metrics().staging_bytes, base.metrics().staging_bytes);
-  EXPECT_EQ(ft.metrics().query_uplink_bytes,
-            base.metrics().query_uplink_bytes);
-  EXPECT_EQ(ft.metrics().query_downlink_bytes,
-            base.metrics().query_downlink_bytes);
-  EXPECT_EQ(ft.metrics().decode_subtractions, uint64_t{16})
+  const golden::RunRecord& base = golden::kFaultFreeRigRun;
+  EXPECT_EQ(ft.metrics().staging_bytes, base.staging_bytes);
+  EXPECT_EQ(ft.metrics().query_uplink_bytes, base.query_uplink_bytes);
+  EXPECT_EQ(ft.metrics().query_downlink_bytes, base.query_downlink_bytes);
+  EXPECT_EQ(ft.metrics().decode_subtractions, base.decode_subtractions)
       << "m subtractions, same as the structured decoder";
-  EXPECT_EQ(ft.metrics().TotalMultiplications(),
-            base.metrics().TotalMultiplications());
+  ASSERT_EQ(ft.metrics().devices.size(),
+            std::size(golden::kFaultFreeRigDevices));
+  for (size_t d = 0; d < ft.metrics().devices.size(); ++d) {
+    EXPECT_EQ(ft.metrics().devices[d].multiplications,
+              golden::kFaultFreeRigDevices[d].multiplications);
+    EXPECT_EQ(ft.metrics().devices[d].additions,
+              golden::kFaultFreeRigDevices[d].additions);
+  }
+  EXPECT_NEAR(ft.metrics().query_completion_time, base.query_completion_time,
+              1e-12 * base.query_completion_time);
+  ASSERT_EQ(result->size(), std::size(golden::kFaultFreeRigDecoded));
+  for (size_t i = 0; i < result->size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>((*result)[i]),
+              std::bit_cast<uint64_t>(golden::kFaultFreeRigDecoded[i]))
+        << "row " << i;
+  }
+}
+
+TEST(FaultTolerantProtocol, CompletionTimeIsTheLastResponseArrival) {
+  // A fault-free query completes when its last response arrives. The event
+  // queue drains later (stale deadline timers of min_deadline_s), and that
+  // drain time must not leak into the completion time, nor into the
+  // sim-time `query` span — with hedging off it once did, so a ~2 ms query
+  // read as the 20 ms minimum deadline.
+  Rig rig(16, 5, 8, 39);
+  FaultTolerantScecProtocol protocol(&rig.deployment, &rig.a,
+                                     rig.problem.fleet.devices(), {});
+  protocol.Stage();
+  const double start = protocol.queue().now();
+  obs::Tracer::Global().Clear();
+  obs::Tracer::Global().Enable(true);
+  ExpectDecodes(rig, protocol.RunQuery(rig.x));
+  const std::vector<obs::TraceEvent> events = obs::Tracer::Global().Snapshot();
+  obs::Tracer::Global().Enable(false);
+  obs::Tracer::Global().Clear();
+
+  double last_arrival = start;
+  for (const DeviceMetrics& device : protocol.metrics().devices) {
+    last_arrival = std::max(last_arrival, device.response_time);
+  }
+  const double completion = protocol.metrics().query_completion_time;
+  EXPECT_DOUBLE_EQ(completion, last_arrival - start);
+  EXPECT_LT(completion, FaultToleranceOptions{}.min_deadline_s);
+  EXPECT_DOUBLE_EQ(protocol.recovery_metrics().first_attempt_completion_s,
+                   completion);
+  EXPECT_DOUBLE_EQ(protocol.recovery_metrics().total_completion_s,
+                   completion);
+  EXPECT_GE(protocol.queue().now() - start,
+            FaultToleranceOptions{}.min_deadline_s)
+      << "the queue still drains the deadline timers after the decode";
+
+  const auto span = std::find_if(
+      events.begin(), events.end(), [](const obs::TraceEvent& event) {
+        return event.name == "query" && event.pid == obs::kSimPid;
+      });
+  ASSERT_NE(span, events.end());
+  EXPECT_NEAR(span->dur_us, completion * 1e6, 1e-6);
 }
 
 // --- Hedged queries -----------------------------------------------------
@@ -487,7 +540,7 @@ TEST(HedgedQueries, FireAndResolveUnderExponentialStragglers) {
   EXPECT_GT(rec.hedge_staging_bytes, 0u);
   EXPECT_GT(rec.HedgeRate(), 0.0);
   EXPECT_LT(rec.HedgeRate(), 1.0);
-  EXPECT_GT(rec.settled_completion_s, 0.0);
+  EXPECT_GT(rec.total_completion_s, 0.0);
   // The one property hedging must never trade away: fresh-pad re-encodes
   // keep every device's cumulative view Def. 2 ITS-secure.
   EXPECT_TRUE(protocol.VerifyCumulativeSecurity().all_secure)
@@ -521,10 +574,11 @@ TEST(HedgedQueries, FreeWhenNobodyStraggles) {
             off.metrics().TotalMultiplications());
   EXPECT_EQ(on.recovery_metrics().queries_dispatched,
             off.recovery_metrics().queries_dispatched);
-  // Settle time has the same meaning under both settings (unlike the
-  // drain-based total_completion_s, which hedging measures differently).
-  EXPECT_DOUBLE_EQ(on.recovery_metrics().settled_completion_s,
-                   off.recovery_metrics().settled_completion_s);
+  // Completion is the settle time under both settings.
+  EXPECT_DOUBLE_EQ(on.recovery_metrics().total_completion_s,
+                   off.recovery_metrics().total_completion_s);
+  EXPECT_DOUBLE_EQ(on.metrics().query_completion_time,
+                   off.metrics().query_completion_time);
 }
 
 // --- Adaptive timeouts --------------------------------------------------

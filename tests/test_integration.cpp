@@ -48,12 +48,9 @@ TEST(Integration, PlanEncodeSimulateAttackPipeline) {
   ASSERT_TRUE(deployment.ok()) << deployment.status();
 
   // 2. Simulated protocol decodes correctly.
-  std::vector<EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
   const auto x = RandomVector<double>(problem.l, drng);
-  const auto sim = sim::SimulateDeployment(*deployment, specs, a, x);
+  const auto sim =
+      sim::SimulateDeployment(*deployment, problem.fleet.devices(), a, x);
   ASSERT_TRUE(sim.ok()) << sim.status();
   EXPECT_TRUE(sim->metrics.decoded_correctly);
 

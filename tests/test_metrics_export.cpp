@@ -174,8 +174,7 @@ TEST(FaultRecoveryMetricsExport, HedgeAndAdaptiveFieldsRoundTrip) {
   metrics.queries_dispatched = 16;
   metrics.responses_received = 14;
   metrics.response_values_received = 70;
-  metrics.total_completion_s = 0.5;
-  metrics.settled_completion_s = 0.375;
+  metrics.total_completion_s = 0.375;
 
   const std::string json = ToJson(metrics);
   EXPECT_EQ(JsonUint(json, "hedges_dispatched"), 4u);
@@ -190,7 +189,7 @@ TEST(FaultRecoveryMetricsExport, HedgeAndAdaptiveFieldsRoundTrip) {
   EXPECT_EQ(JsonUint(json, "response_values_received"), 70u);
   // Derived: 4 hedges over 16 dispatches.
   EXPECT_NE(json.find("\"hedge_rate\":0.25"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"settled_completion_s\":0.375"), std::string::npos)
+  EXPECT_NE(json.find("\"total_completion_s\":0.375"), std::string::npos)
       << json;
 
   const std::vector<std::string> header =
@@ -209,9 +208,9 @@ TEST(FaultRecoveryMetricsExport, HedgeAndAdaptiveFieldsRoundTrip) {
   EXPECT_EQ(column("hedge_staging_bytes"), "1024");
   EXPECT_EQ(column("adaptive_deadlines"), "11");
   EXPECT_EQ(column("queries_dispatched"), "16");
-  EXPECT_DOUBLE_EQ(std::stod(column("settled_completion_s")), 0.375);
+  EXPECT_DOUBLE_EQ(std::stod(column("total_completion_s")), 0.375);
   // Appended columns keep older CSV consumers' column indices valid: the
-  // Byzantine/reputation block comes strictly AFTER the PR 2 settle time.
+  // Byzantine/reputation block comes strictly AFTER the completion times.
   EXPECT_EQ(header.back(), "resumed_responses");
   auto index_of = [&](const std::string& name) {
     for (size_t i = 0; i < header.size(); ++i) {
@@ -220,7 +219,7 @@ TEST(FaultRecoveryMetricsExport, HedgeAndAdaptiveFieldsRoundTrip) {
     ADD_FAILURE() << "column " << name << " missing";
     return header.size();
   };
-  EXPECT_LT(index_of("settled_completion_s"),
+  EXPECT_LT(index_of("total_completion_s"),
             index_of("byzantine_guard_segments"));
 }
 

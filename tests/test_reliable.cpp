@@ -233,7 +233,7 @@ McscecProblem MakeProblem(size_t m, size_t l, size_t k, uint64_t seed) {
   return problem;
 }
 
-TEST(ReliableChannel, ScecProtocolDecodesOverLossyLinks) {
+TEST(ReliableChannel, SimulateScecDecodesOverLossyLinks) {
   const McscecProblem problem = MakeProblem(16, 5, 8, 10);
   ChaCha20Rng coding_rng(100);
   Xoshiro256StarStar drng(101);
