@@ -162,15 +162,11 @@ void NetCoordinator::DispatchSlot(size_t segment_index, size_t slot,
   const uint64_t rpc =
       transport_->SubmitQuery(device, seg.share_ids[slot], x,
                               options_.rpc_deadline_s, start_delay_s);
-  inflight_[rpc] = Inflight{segment_index, slot, /*hedge=*/false};
-  state.primary_rpc = rpc;
+  inflight_[rpc] = Inflight{segment_index, slot};
+  state.rpc = rpc;
   ++state.attempts;
   ++stats_.dispatches;
   stats_.query_value_bytes += 8.0 * x.size();
-  if (options_.hedge_after_s > 0.0 && state.hedge_alarm == 0) {
-    state.hedge_alarm = transport_->AddAlarm(options_.hedge_after_s);
-    alarms_[state.hedge_alarm] = Inflight{segment_index, slot, /*hedge=*/true};
-  }
   Trace("dispatch seg=" + std::to_string(segment_index) +
         " slot=" + std::to_string(slot) + " d=" + std::to_string(device) +
         " attempt=" + std::to_string(state.attempts));
@@ -201,20 +197,10 @@ void NetCoordinator::SettleSlot(size_t segment_index, size_t slot,
                                 SlotPhase phase) {
   SlotState& state = query_slots_[segment_index][slot];
   SCEC_CHECK(state.phase == SlotPhase::kOutstanding);
-  if (state.primary_rpc != 0) {
-    inflight_.erase(state.primary_rpc);
-    transport_->Cancel(state.primary_rpc);
-    state.primary_rpc = 0;
-  }
-  if (state.hedge_rpc != 0) {
-    inflight_.erase(state.hedge_rpc);
-    transport_->Cancel(state.hedge_rpc);
-    state.hedge_rpc = 0;
-  }
-  if (state.hedge_alarm != 0) {
-    alarms_.erase(state.hedge_alarm);
-    transport_->Cancel(state.hedge_alarm);
-    state.hedge_alarm = 0;
+  if (state.rpc != 0) {
+    inflight_.erase(state.rpc);
+    transport_->Cancel(state.rpc);
+    state.rpc = 0;
   }
   state.phase = phase;
   SCEC_CHECK_GT(outstanding_, 0u);
@@ -226,7 +212,7 @@ void NetCoordinator::HandleResponse(const Completion& completion,
   ++stats_.responses_seen;
   auto it = inflight_.find(completion.id);
   if (it == inflight_.end()) {
-    ++stats_.stale_ignored;  // cancelled hedge loser, late retry, ...
+    ++stats_.stale_ignored;  // late answer to a settled or timed-out RPC
     return;
   }
   const Inflight entry = it->second;
@@ -253,7 +239,6 @@ void NetCoordinator::HandleResponse(const Completion& completion,
     return;
   }
 
-  if (entry.hedge) ++stats_.hedge_wins;
   ++stats_.responses_used;
   stats_.response_value_bytes += 8.0 * completion.values.size();
   reputation_.RecordVerified(device);
@@ -276,11 +261,7 @@ void NetCoordinator::HandleError(const Completion& completion,
   const Segment& seg = segments_[entry.segment];
   SlotState& state = query_slots_[entry.segment][entry.slot];
   const size_t device = seg.shape.phys()[entry.slot];
-  if (entry.hedge) {
-    state.hedge_rpc = 0;
-  } else {
-    state.primary_rpc = 0;
-  }
+  state.rpc = 0;
   if (completion.error == NetError::kTimeout) {
     ++stats_.timeouts;
   } else {
@@ -289,9 +270,6 @@ void NetCoordinator::HandleError(const Completion& completion,
   Trace("rpc_error seg=" + std::to_string(entry.segment) +
         " slot=" + std::to_string(entry.slot) + " d=" + std::to_string(device) +
         " error=" + NetErrorName(completion.error));
-
-  // The sibling (primary or hedge) is still racing: let it finish.
-  if (state.primary_rpc != 0 || state.hedge_rpc != 0) return;
 
   if (Retryable(completion.error) &&
       state.attempts < options_.retry.max_attempts) {
@@ -318,35 +296,6 @@ void NetCoordinator::HandleError(const Completion& completion,
   SettleSlot(entry.segment, entry.slot, SlotPhase::kFailed);
 }
 
-void NetCoordinator::HandleAlarm(const Completion& completion,
-                                 const std::vector<double>& x) {
-  auto it = alarms_.find(completion.id);
-  if (it == alarms_.end()) return;  // slot settled before the alarm fired
-  const Inflight entry = it->second;
-  alarms_.erase(it);
-  const Segment& seg = segments_[entry.segment];
-  SlotState& state = query_slots_[entry.segment][entry.slot];
-  state.hedge_alarm = 0;
-  if (state.phase != SlotPhase::kOutstanding || state.primary_rpc == 0 ||
-      state.hedge_rpc != 0) {
-    return;
-  }
-  // The primary is straggling: duplicate it to the same holder (the share
-  // is device-bound, so no new view is created — ITS unaffected).
-  const uint64_t rpc = transport_->SubmitQuery(
-      seg.shape.phys()[entry.slot], seg.share_ids[entry.slot], x,
-      options_.rpc_deadline_s, /*start_delay_s=*/0.0);
-  inflight_[rpc] = Inflight{entry.segment, entry.slot, /*hedge=*/true};
-  state.hedge_rpc = rpc;
-  ++state.attempts;
-  ++stats_.dispatches;
-  ++stats_.hedges_launched;
-  stats_.query_value_bytes += 8.0 * x.size();
-  Trace("hedge seg=" + std::to_string(entry.segment) +
-        " slot=" + std::to_string(entry.slot) +
-        " d=" + std::to_string(seg.shape.phys()[entry.slot]));
-}
-
 Status NetCoordinator::WaitOutstanding(const std::vector<double>& x) {
   const double wall_start = WallSeconds();
   std::vector<Completion> completions;
@@ -366,8 +315,7 @@ Status NetCoordinator::WaitOutstanding(const std::vector<double>& x) {
           HandleError(completion, x);
           break;
         case Completion::Kind::kAlarm:
-          HandleAlarm(completion, x);
-          break;
+          break;  // the driver arms no alarms
       }
     }
   }
@@ -422,7 +370,6 @@ Result<std::vector<double>> NetCoordinator::Query(
     query_slots_[s].assign(segments_[s].shape.num_slots(), SlotState{});
   }
   inflight_.clear();
-  alarms_.clear();
   verified_buffer_.clear();
   outstanding_ = 0;
 

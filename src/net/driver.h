@@ -15,11 +15,8 @@
 //   retry        — failed RPCs (timeout / conn reset / partition) rerun with
 //                  the shared RetryPolicy schedule + seeded BackoffJitter,
 //                  expressed as the transport's start_delay so the driver
-//                  itself never reads a clock,
-//   hedging      — an optional per-dispatch alarm duplicates a straggling
-//                  RPC to the share's holder; first verified answer wins,
-//                  the loser is cancelled (same device, same view: no ITS
-//                  impact),
+//                  itself never reads a clock; a slot has one live RPC at
+//                  a time and a retry is the only re-send,
 //   masking      — every response is Freivalds-digest checked; a flagged
 //                  (Byzantine) answer is discarded, the device quarantined
 //                  via the ReputationTracker, and its rows recovered,
@@ -31,7 +28,7 @@
 //                  in-sim engine.
 //
 // Decision trace: with `record_trace` the driver appends one line per
-// protocol decision (plan, stage, dispatch, retry, hedge, evict, recover,
+// protocol decision (plan, stage, dispatch, retry, evict, recover,
 // decode). Response-arrival order is transport-dependent, so per-response
 // entries are buffered and flushed in sorted order at decode time — on a
 // fault-free run the trace is therefore byte-identical across SimTransport
@@ -74,11 +71,6 @@ struct NetCoordinatorOptions {
   double backoff_jitter = 0.0;        // 0 = deterministic schedule
   uint64_t jitter_seed = 0x5CEC0DE1ULL;
 
-  // Hedging: if > 0, arm an alarm this long after each first dispatch and
-  // duplicate the RPC if still unanswered. Off by default (alarm-vs-response
-  // races make traces timing-dependent; enable per bench/test).
-  double hedge_after_s = 0.0;
-
   // Freivalds digests per response (coding/result_verify.h); every
   // response is verified.
   size_t num_digests = 1;
@@ -107,8 +99,6 @@ struct NetCoordinatorStats {
   uint64_t retries = 0;
   uint64_t timeouts = 0;          // kTimeout completions
   uint64_t transport_errors = 0;  // kConnReset / kPartitioned / kRefused
-  uint64_t hedges_launched = 0;
-  uint64_t hedge_wins = 0;        // hedge settled before the primary
   uint64_t byzantine_flagged = 0;
   uint64_t evictions = 0;
   uint64_t recovery_rounds = 0;
@@ -132,7 +122,7 @@ class NetCoordinator {
   // Plans, encodes, and stages round-0 shares. Call once.
   Status Setup(Transport* transport);
 
-  // Answers A·x, driving retries / hedges / recovery until every row
+  // Answers A·x, driving retries / recovery until every row
   // decodes (or the recovery budget is spent).
   Result<std::vector<double>> Query(const std::vector<double>& x);
 
@@ -161,16 +151,13 @@ class NetCoordinator {
   enum class SlotPhase { kIdle, kOutstanding, kDone, kFailed };
   struct SlotState {
     SlotPhase phase = SlotPhase::kIdle;
-    size_t attempts = 0;           // dispatches consumed (primary + hedge)
-    uint64_t primary_rpc = 0;
-    uint64_t hedge_rpc = 0;
-    uint64_t hedge_alarm = 0;
+    size_t attempts = 0;           // dispatches consumed
+    uint64_t rpc = 0;              // the live RPC, 0 between retries
     std::vector<double> values;    // verified B_j·T·x chunk
   };
   struct Inflight {
     size_t segment = 0;
     size_t slot = 0;
-    bool hedge = false;
   };
 
   bool UsableDevice(size_t device) const;
@@ -188,7 +175,6 @@ class NetCoordinator {
   void HandleResponse(const Completion& completion,
                       const std::vector<double>& x);
   void HandleError(const Completion& completion, const std::vector<double>& x);
-  void HandleAlarm(const Completion& completion, const std::vector<double>& x);
   Status WaitOutstanding(const std::vector<double>& x);
   // Decodes every row the query's answers yield; returns the rows missing.
   std::vector<size_t> CollectDecoded(
@@ -218,7 +204,6 @@ class NetCoordinator {
   // Per-query state.
   std::vector<std::vector<SlotState>> query_slots_;  // [segment][slot]
   std::unordered_map<uint64_t, Inflight> inflight_;
-  std::unordered_map<uint64_t, Inflight> alarms_;
   size_t outstanding_ = 0;
 
   NetCoordinatorStats stats_;

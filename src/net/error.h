@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: MIT
 //
 // Typed transport errors. The networked coordinator reacts differently to a
-// deadline miss (retry/hedge the RPC), a reset connection (re-dispatch after
+// deadline miss (retry the RPC), a reset connection (re-dispatch after
 // the channel reconnects), and a partition (evict the device and re-plan), so
 // the transport surfaces each as its own code instead of a flat failure —
 // mirroring how the simulator distinguishes stragglers, crashes, and
@@ -20,7 +20,7 @@ enum class NetError {
   kTimeout,      // per-RPC deadline timer fired before a response landed
   kConnReset,    // TCP reset / EOF mid-stream; the channel will reconnect
   kPartitioned,  // heartbeat miss threshold crossed; peer presumed gone
-  kCancelled,    // caller cancelled (hedge winner arrived, round ended, ...)
+  kCancelled,    // caller cancelled (slot settled, round ended, ...)
   kRefused,      // connect() refused / daemon not listening
   kProtocol,     // wire-format violation (bad magic/CRC/length/type)
   kDraining,     // endpoint is draining; no new work accepted

@@ -68,7 +68,6 @@ NetCoordinatorOptions ChaosDriverOptions(uint64_t episode_seed) {
   options.retry.max_backoff_s = 0.3;
   options.backoff_jitter = 0.2;
   options.jitter_seed = episode_seed ^ 0xA5A5A5A5ULL;
-  options.hedge_after_s = 0.2;  // exercise hedging under loss
   options.pad_seed = episode_seed;
   options.digest_seed = episode_seed ^ 0x5F5F5F5FULL;
   options.reputation.enabled = true;

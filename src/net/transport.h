@@ -2,8 +2,8 @@
 //
 // Transport abstraction for the fault-tolerant SCEC query path. The
 // networked coordinator (net/driver.h) is written against this interface
-// only, so deadlines, retry/backoff, hedging, Byzantine masking, and
-// quarantine logic run UNCHANGED over
+// only, so deadlines, retry/backoff, Byzantine masking, and quarantine
+// logic run UNCHANGED over
 //
 //   * SimTransport (net/sim_transport.h) — the deterministic discrete-event
 //     simulator, for reproducible protocol tests, and
@@ -52,7 +52,7 @@ struct Completion {
   enum class Kind {
     kResponse,  // values carries the device's share·x answer
     kError,     // error is kTimeout/kConnReset/kPartitioned/kCancelled/...
-    kAlarm,     // a driver-requested wakeup (hedge checks, backoff expiry)
+    kAlarm,     // a requested wakeup (AddAlarm); NetCoordinator arms none
   };
 
   Kind kind = Kind::kResponse;

@@ -168,13 +168,8 @@ FaultTolerantScecProtocol::FaultTolerantScecProtocol(
   SCEC_CHECK_EQ(a_->rows(), deployment_->code.m());
   SCEC_CHECK_EQ(a_->cols(), deployment_->l);
   ft_.retry.Validate();
-  SCEC_CHECK_GT(ft_.deadline_factor, 0.0);
-  SCEC_CHECK_GT(ft_.min_deadline_s, 0.0);
   SCEC_CHECK_GE(ft_.backoff_jitter, 0.0);
   SCEC_CHECK_LT(ft_.backoff_jitter, 1.0);
-  SCEC_CHECK_GE(ft_.timeout_quantile, 0.0);
-  SCEC_CHECK_LE(ft_.timeout_quantile, 1.0);
-  SCEC_CHECK_GT(ft_.timeout_margin, 0.0);
   SCEC_CHECK_GE(ft_.hedge_quantile, 0.0);
   SCEC_CHECK_LE(ft_.hedge_quantile, 1.0);
   SCEC_CHECK_GT(ft_.hedge_margin, 0.0);
@@ -449,7 +444,7 @@ double FaultTolerantScecProtocol::ModelDeadlineFor(
                           x_bits / spec.downlink_bps +
                           flops / spec.compute_rate_flops +
                           response_bits / spec.uplink_bps;
-  return std::max(ft_.min_deadline_s, ft_.deadline_factor * estimate);
+  return std::max(kMinDeadlineS, kDeadlineFactor * estimate);
 }
 
 double FaultTolerantScecProtocol::DeadlineFor(const Pending& pending) {
@@ -458,8 +453,7 @@ double FaultTolerantScecProtocol::DeadlineFor(const Pending& pending) {
   const LatencyEstimator& est = latency_[pending.phys];
   if (!est.HasEstimate()) return model;  // cold start: model-based budget
   const double deadline =
-      std::max(ft_.min_deadline_s,
-               ft_.timeout_margin * est.Quantile(ft_.timeout_quantile));
+      std::max(kMinDeadlineS, kTimeoutMargin * est.Quantile(kTimeoutQuantile));
   ++recovery_.adaptive_deadlines;
   ResilienceMetrics::Get().adaptive_deadlines.Increment();
   ResilienceMetrics::Get().adaptive_deadline_seconds.Observe(deadline);
@@ -469,7 +463,7 @@ double FaultTolerantScecProtocol::DeadlineFor(const Pending& pending) {
 double FaultTolerantScecProtocol::HedgeDelayFor(const Pending& pending) const {
   const LatencyEstimator& est = latency_[pending.phys];
   if (est.HasEstimate()) {
-    return std::max(ft_.min_deadline_s,
+    return std::max(kMinDeadlineS,
                     ft_.hedge_margin * est.Quantile(ft_.hedge_quantile));
   }
   // Cold start: hedge at half the eviction deadline, so speculation still
@@ -786,7 +780,7 @@ bool FaultTolerantScecProtocol::BusyInRound(size_t fleet_index) const {
 void FaultTolerantScecProtocol::MaybeHedge(Pending* pending) {
   if (pending->accepted || pending->failed || pending->cancelled) return;
   if (pending->hedge_group != kNoHedgeGroup) return;
-  if (hedges_this_query_ >= ft_.max_hedges_per_query) return;
+  if (hedges_this_query_ >= kMaxHedgesPerQuery) return;
 
   const std::vector<size_t> rows = RowsAtRisk(*pending);
   if (rows.empty()) return;  // nothing only this device can still yield
@@ -1164,10 +1158,10 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
 
   size_t rounds_this_query = 0;
   while (!lost.empty()) {
-    if (rounds_this_query >= ft_.max_recovery_rounds) {
+    if (rounds_this_query >= kMaxRecoveryRounds) {
       current_x_ = nullptr;
       return Internal("rows still undecodable after " +
-                      std::to_string(ft_.max_recovery_rounds) +
+                      std::to_string(kMaxRecoveryRounds) +
                       " recovery rounds");
     }
     ++rounds_this_query;

@@ -22,7 +22,7 @@
 //                check on every response (coding/result_verify.h) that flags
 //                corruption with failure probability ≤ 1/q per response.
 //                Deadlines are either budgeted from the device's link and
-//                compute specs (scaled by `deadline_factor`), or — with
+//                compute specs (scaled by kDeadlineFactor), or — with
 //                `adaptive_timeouts` — learned online from the device's own
 //                observed `device_response` durations (EWMA + streaming
 //                percentile, sim/latency_estimator.h) so a normally-fast
@@ -106,6 +106,20 @@
 
 namespace scec::sim {
 
+// Detection and speculation limits. Model deadline = max(kMinDeadlineS,
+// kDeadlineFactor × the device's estimated round trip: x transfer + compute
+// + response transfer); the factor absorbs stragglers and queueing. An
+// adaptive deadline is max(kMinDeadlineS, kTimeoutMargin × the device's
+// observed kTimeoutQuantile-percentile response time).
+inline constexpr double kDeadlineFactor = 4.0;
+inline constexpr double kMinDeadlineS = 0.02;
+inline constexpr double kTimeoutQuantile = 0.99;
+inline constexpr double kTimeoutMargin = 3.0;
+// Hedges dispatched per query, at most.
+inline constexpr size_t kMaxHedgesPerQuery = 4;
+// Re-plan / re-encode rounds per query before giving up (kInternal).
+inline constexpr size_t kMaxRecoveryRounds = 4;
+
 struct FaultToleranceOptions {
   // Pacing of query re-deliveries to a silent device.
   RetryPolicy retry;
@@ -116,35 +130,24 @@ struct FaultToleranceOptions {
   // 0 (default) reproduces the unjittered PR 1 schedule bit-for-bit.
   double backoff_jitter = 0.0;
   uint64_t jitter_seed = 0x243F6A8885A308D3u;
-  // Deadline = max(min_deadline_s, deadline_factor × estimated round trip),
-  // where the estimate covers x transfer + compute + response transfer for
-  // the specific device. The factor absorbs stragglers and queueing.
-  double deadline_factor = 4.0;
-  double min_deadline_s = 0.02;
 
-  // --- Adaptive timeouts (default OFF: identical behaviour to the fixed
-  // model-based deadlines above). When ON, once a device has
-  // `estimator.min_samples` observed response durations its deadline becomes
-  // max(min_deadline_s, timeout_margin × observed-pXX); before that the
-  // model-based deadline applies (cold start).
+  // --- Adaptive timeouts (default OFF: every deadline is the model
+  // deadline). When ON, once a device has `estimator.min_samples` observed
+  // response durations its deadline becomes the adaptive one (see
+  // kTimeoutMargin); before that the model deadline applies (cold start).
   bool adaptive_timeouts = false;
-  double timeout_quantile = 0.99;  // pXX of the device's observed durations
-  double timeout_margin = 3.0;     // headroom multiplier on that quantile
   LatencyEstimatorOptions estimator;
 
   // --- Hedged queries (default OFF). A pending sub-query that exceeds
-  // max(min_deadline_s, hedge_margin × observed-pXX) — or half its eviction
+  // max(kMinDeadlineS, hedge_margin × observed-pXX) — or half its model
   // deadline during cold start — triggers a speculative fresh-pad re-encode
   // of its at-risk rows onto the two cheapest idle survivors.
   bool hedging = false;
   double hedge_quantile = 0.95;
   double hedge_margin = 1.5;
-  size_t max_hedges_per_query = 4;
   // Fresh pads for hedge re-encodes (independent stream from repair pads).
   uint64_t hedge_pad_seed = 0xA409382229F31D0Cu;
 
-  // Re-plan / re-encode rounds per query before giving up (kInternal).
-  size_t max_recovery_rounds = 4;
   // Secret Freivalds weights (cloud-side; must be cryptographically strong).
   uint64_t verifier_seed = 0xF4E1A7D5u;
   // Fresh pads for recovery re-encodes. Independent of the seed that padded
@@ -247,7 +250,7 @@ class FaultTolerantScecProtocol {
 
   // Phases 2–3 with detection + recovery. Returns the decoded A·x, or
   //   kInfeasible — fewer than 2 devices survive to re-plan over,
-  //   kInternal   — rows still undecodable after max_recovery_rounds.
+  //   kInternal   — rows still undecodable after kMaxRecoveryRounds.
   // The query's completion time (metrics().query_completion_time) is its
   // settle time: from dispatch until the last pending of the final round
   // resolved. Events the queue drains after that — a stale deadline timer,

@@ -467,7 +467,7 @@ TEST(FaultTolerantProtocol, FaultFreeCostMatchesPlainProtocol) {
 
 TEST(FaultTolerantProtocol, CompletionTimeIsTheLastResponseArrival) {
   // A fault-free query completes when its last response arrives. The event
-  // queue drains later (stale deadline timers of min_deadline_s), and that
+  // queue drains later (stale deadline timers of kMinDeadlineS), and that
   // drain time must not leak into the completion time, nor into the
   // sim-time `query` span — with hedging off it once did, so a ~2 ms query
   // read as the 20 ms minimum deadline.
@@ -489,13 +489,12 @@ TEST(FaultTolerantProtocol, CompletionTimeIsTheLastResponseArrival) {
   }
   const double completion = protocol.metrics().query_completion_time;
   EXPECT_DOUBLE_EQ(completion, last_arrival - start);
-  EXPECT_LT(completion, FaultToleranceOptions{}.min_deadline_s);
+  EXPECT_LT(completion, kMinDeadlineS);
   EXPECT_DOUBLE_EQ(protocol.recovery_metrics().first_attempt_completion_s,
                    completion);
   EXPECT_DOUBLE_EQ(protocol.recovery_metrics().total_completion_s,
                    completion);
-  EXPECT_GE(protocol.queue().now() - start,
-            FaultToleranceOptions{}.min_deadline_s)
+  EXPECT_GE(protocol.queue().now() - start, kMinDeadlineS)
       << "the queue still drains the deadline timers after the decode";
 
   const auto span = std::find_if(
