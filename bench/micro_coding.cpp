@@ -2,14 +2,17 @@
 //
 // Encoder throughput: structural encoding (O((m+r)·l) additions, what the
 // library ships) vs materialising B and computing the dense product B·T
-// (what a naive implementation would do), plus pad generation and the
-// per-device share multiply the edge devices run online.
+// (what a naive implementation would do), plus pad generation, the
+// per-device share multiply the edge devices run online, and the exact
+// Def. 2 checks (scheme check and cumulative ledger) every deployment runs.
 
 #include <benchmark/benchmark.h>
 
 #include "telemetry.h"
 
 #include "coding/encoder.h"
+#include "coding/security_check.h"
+#include "core/segment.h"
 #include "linalg/matrix_ops.h"
 
 namespace {
@@ -92,6 +95,46 @@ void BM_DeviceShareMultiply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(v * l));
 }
 BENCHMARK(BM_DeviceShareMultiply)->RangeMultiplier(4)->Range(16, 4096);
+
+// The Def. 2 + availability check Deploy and every repair round run: k = 4
+// devices, r = ceil(m / 3), the shape TA2 plans for the loopback cluster.
+void BM_SchemeSecurityCheck(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t r = (m + 2) / 3;
+  const scec::StructuredCode code(m, r);
+  const auto scheme = CanonicalScheme(m, r);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scec::CheckSchemeSecure(code, scheme).ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(m + r));
+}
+BENCHMARK(BM_SchemeSecurityCheck)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+// The cumulative Def. 2 check over every device's view after the base
+// segment (m = 1024, k = 4) and one fresh-pad pair round on rows 0..63.
+void BM_CumulativeLedgerVerify(benchmark::State& state) {
+  const size_t m = 1024, r = (m + 2) / 3;
+  const auto scheme = CanonicalScheme(m, r);
+  std::vector<size_t> rows(m);
+  for (size_t p = 0; p < m; ++p) rows[p] = p;
+  scec::CumulativeViewLedger ledger(m, scheme.num_devices());
+  ledger.Record(scec::SegmentShape(rows, scec::StructuredCode(m, r), scheme,
+                                   {0, 1, 2, 3}));
+  const size_t s = 64;
+  rows.resize(s);
+  ledger.Record(scec::SegmentShape(
+      rows, scec::StructuredCode(s, s),
+      scec::SchemeFromRowCounts(s, s, {s, s}), {2, 3}));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ledger.Verify().all_secure);
+  }
+}
+BENCHMARK(BM_CumulativeLedgerVerify)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "coding/security_check.h"
 #include "field/field_traits.h"
 #include "linalg/elimination.h"
 
@@ -122,10 +123,6 @@ bool VerifyCollusionPrivacy(const CollusionCode& code, size_t t) {
   const size_t n = code.b.rows();
   const size_t devices = code.scheme.num_devices();
 
-  // Data span basis λ̄ = [E_m | O].
-  Matrix<Gf61> lambda(m, n);
-  for (size_t row = 0; row < m; ++row) lambda(row, row) = Gf61::One();
-
   // Precompute block boundaries.
   std::vector<size_t> starts(devices);
   for (size_t d = 0; d < devices; ++d) starts[d] = code.scheme.BlockStart(d);
@@ -133,17 +130,14 @@ bool VerifyCollusionPrivacy(const CollusionCode& code, size_t t) {
   for (size_t size = 1; size <= std::min(t, devices); ++size) {
     const bool ok = EnumerateSubsets(
         devices, size, [&](const std::vector<size_t>& subset) {
-          // Stack the subset's blocks.
-          size_t rows = 0;
-          for (size_t d : subset) rows += code.scheme.row_counts[d];
-          Matrix<Gf61> stacked(rows, n);
-          size_t out_row = 0;
+          // Stack the subset's blocks: the coalition's joint view.
+          SparseRows<Gf61> stacked(n);
           for (size_t d : subset) {
             for (size_t row = 0; row < code.scheme.row_counts[d]; ++row) {
-              stacked.SetRow(out_row++, code.b.Row(starts[d] + row));
+              stacked.AddDenseRow(code.b.Row(starts[d] + row));
             }
           }
-          return SpanIntersectionDim(stacked, lambda) == 0;
+          return VerifyView(stacked, m).secure();
         });
     if (!ok) return false;
   }

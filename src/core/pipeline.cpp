@@ -146,7 +146,7 @@ Result<Deployment<T>> Deploy(const McscecProblem& problem, const Matrix<T>& a,
   if (verify_security) {
     SCEC_TRACE_SPAN("deploy/security_check", "pipeline");
     SCEC_RETURN_IF_ERROR(
-        CheckSchemeSecure(deployment.code, deployment.plan.scheme, pool));
+        CheckSchemeSecure(deployment.code, deployment.plan.scheme));
   }
 
   {

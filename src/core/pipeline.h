@@ -62,10 +62,10 @@ struct Deployment {
 };
 
 // Plans, encodes, and (optionally) verifies ITS before returning. With a
-// pool, the per-device encoding and the per-device ITS rank checks (both
-// embarrassingly parallel across the k devices) fan out; pad generation
-// stays serial on `rng`, so the deployment is bit-identical to the serial
-// one for every pool size.
+// pool, the per-device encoding (embarrassingly parallel across the k
+// devices) fans out; pad generation stays serial on `rng`, so the
+// deployment is bit-identical to the serial one for every pool size. The
+// ITS check is O(nnz(B)) and runs serially.
 template <typename T>
 Result<Deployment<T>> Deploy(const McscecProblem& problem, const Matrix<T>& a,
                              ChaCha20Rng& rng,

@@ -105,19 +105,15 @@ void CumulativeViewLedger::Record(const SegmentShape& segment) {
 }
 
 SchemeSecurityReport CumulativeViewLedger::Verify() const {
-  std::vector<Matrix<Gf61>> blocks;
-  blocks.reserve(views_.size());
+  std::vector<SparseRows<Gf61>> sparse_views;
+  sparse_views.reserve(views_.size());
   for (const std::vector<CoefficientRow>& view : views_) {
-    Matrix<Gf61> block(view.size(), m_ + pad_columns_);
-    for (size_t i = 0; i < view.size(); ++i) {
-      if (view[i].data_row.has_value()) {
-        block(i, *view[i].data_row) = Gf61::One();
-      }
-      block(i, m_ + view[i].pad_col) = Gf61::One();
+    SparseRows<Gf61>& rows = sparse_views.emplace_back(m_ + pad_columns_);
+    for (const CoefficientRow& held : view) {
+      AddCodedRow(rows, held.data_row, m_ + held.pad_col);
     }
-    blocks.push_back(std::move(block));
   }
-  return VerifyCumulativeViews(blocks, m_);
+  return VerifyCumulativeViews(sparse_views, m_);
 }
 
 namespace {

@@ -464,7 +464,9 @@ bool Gf61IfmaAvailable() {
 // mul/add mix spreads across both vector ALU ports; on dual-FMA parts
 // IFMA is far ahead (7 fused ops vs 8 ops + folds). Port counts are not
 // CPUID-enumerable, so measure once: time both kernels on a small fixed
-// problem (best of kReps to shed scheduler noise) and cache the winner.
+// problem (best of kReps to shed scheduler noise) and cache the winner;
+// IFMA must win by kIfmaMinWin (Gf61PreferIfma), so two near-equal timings
+// do not flip the tier from one process to the next.
 // Both kernels return identical canonical values, so the choice never
 // affects results.
 struct CalibrationTimes {
@@ -521,8 +523,8 @@ const CalibrationTimes& Gf61CalibrationTimes() {
 
 bool Gf61UseIfma() {
   static const bool use_ifma =
-      Gf61IfmaAvailable() &&
-      Gf61CalibrationTimes().ifma_ns < Gf61CalibrationTimes().mul32_ns;
+      Gf61IfmaAvailable() && Gf61PreferIfma(Gf61CalibrationTimes().mul32_ns,
+                                            Gf61CalibrationTimes().ifma_ns);
   return use_ifma;
 }
 

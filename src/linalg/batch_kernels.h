@@ -93,6 +93,16 @@ void PanelRowsGf61(const Matrix<GfElem<kMersenne61>>& a,
                    std::span<GfElem<kMersenne61>> out,
                    size_t row_begin, size_t row_end);
 
+// The mul32-vs-IFMA calibration picks IFMA only when its best-of time is
+// at least kIfmaMinWin below mul32's. Best-of timings of the two tiers can
+// sit within a few percent of each other, and a strict comparison then
+// picks a different tier from run to run with no kernel change.
+inline constexpr double kIfmaMinWin = 0.10;
+
+inline bool Gf61PreferIfma(double mul32_ns, double ifma_ns) {
+  return ifma_ns <= (1.0 - kIfmaMinWin) * mul32_ns;
+}
+
 template <typename T>
 void PanelRows(const Matrix<T>& a, const Matrix<T>& x, std::span<T> out,
                size_t row_begin, size_t row_end) {

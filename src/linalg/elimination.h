@@ -4,9 +4,9 @@
 // FieldTraits scalars.
 //
 // For exact fields any nonzero pivot is chosen (first found); for doubles we
-// use partial pivoting and treat |v| <= tolerance as zero. Rank over an exact
-// field is what the security verifier uses to evaluate the paper's ITS
-// condition  dim(L(B_j) ∩ L(λ̄)) = rank(B_j) + m − rank([B_j; λ̄]).
+// use partial pivoting and treat |v| <= tolerance as zero. The security
+// verifier's exact ranks run on the sparse echelon (linalg/sparse_echelon.h);
+// these dense routines are the generic reference it is tested against.
 
 #pragma once
 
@@ -184,7 +184,9 @@ Matrix<T> NullSpaceBasis(Matrix<T> m) {
 //   dim(U ∩ W) = rank(A) + rank(B) − rank([A; B]).
 // This is the quantity in the paper's security condition (Def. 2 rephrased
 // via [20]): a device's share B_j is ITS-safe iff the intersection of its
-// row span with the data span has dimension zero.
+// row span with the data span has dimension zero. The verifier computes it
+// by the projection identity (coding/security_check.h); this generic form
+// is the reference.
 template <typename T>
 size_t SpanIntersectionDim(const Matrix<T>& a, const Matrix<T>& b) {
   if (a.empty() || b.empty()) return 0;

@@ -58,12 +58,12 @@ RecoveryAttack<T> AttemptLinearRecovery(const Matrix<T>& coefficients,
 template <typename T>
 bool DeviceCanRecoverData(const Matrix<T>& coefficients, size_t m) {
   // Pure coefficient-space form: attack feasible iff span(B_j) meets the
-  // data span nontrivially.
-  Matrix<T> lambda(m, coefficients.cols());
-  for (size_t row = 0; row < m; ++row) {
-    lambda(row, row) = FieldTraits<T>::One();
-  }
-  return SpanIntersectionDim(coefficients, lambda) > 0;
+  // data span nontrivially, i.e. rank(B_j) > rank(G_j) (the projection
+  // identity of coding/security_check.h).
+  SCEC_CHECK_LE(m, coefficients.cols());
+  const Matrix<T> pad_part = coefficients.Block(
+      0, m, coefficients.rows(), coefficients.cols() - m);
+  return RankOf(coefficients) > RankOf(pad_part);
 }
 
 template RecoveryAttack<double> AttemptLinearRecovery<double>(

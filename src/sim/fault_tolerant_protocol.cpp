@@ -444,7 +444,13 @@ double FaultTolerantScecProtocol::ModelDeadlineFor(
                           x_bits / spec.downlink_bps +
                           flops / spec.compute_rate_flops +
                           response_bits / spec.uplink_bps;
-  return std::max(kMinDeadlineS, kDeadlineFactor * estimate);
+  // Over lossy links the reliable channel retransmits a lost x or response
+  // on its own after retransmit_timeout_s; a deadline below that re-sends x
+  // redundantly and draws a duplicate response.
+  const double floor =
+      channel_ != nullptr ? kMinDeadlineS + options_.retransmit_timeout_s
+                          : kMinDeadlineS;
+  return std::max(floor, kDeadlineFactor * estimate);
 }
 
 double FaultTolerantScecProtocol::DeadlineFor(const Pending& pending) {

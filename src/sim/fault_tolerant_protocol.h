@@ -108,7 +108,9 @@ namespace scec::sim {
 
 // Detection and speculation limits. Model deadline = max(kMinDeadlineS,
 // kDeadlineFactor × the device's estimated round trip: x transfer + compute
-// + response transfer); the factor absorbs stragglers and queueing. An
+// + response transfer); the factor absorbs stragglers and queueing. Over
+// lossy links the floor is kMinDeadlineS + the channel's retransmit
+// timeout, so a retransmit gets its chance before the query is re-sent. An
 // adaptive deadline is max(kMinDeadlineS, kTimeoutMargin × the device's
 // observed kTimeoutQuantile-percentile response time).
 inline constexpr double kDeadlineFactor = 4.0;

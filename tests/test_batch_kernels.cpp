@@ -237,6 +237,17 @@ TEST(MatMulPanel, PanelSpanWritesSliceOfLargerBuffer) {
   for (size_t i = 7 * 3; i < 10 * 3; ++i) EXPECT_EQ(buffer[i], Gf61(7));
 }
 
+TEST(Gf61TierCalibration, IfmaNeedsAClearWin) {
+  using kernel_internal::Gf61PreferIfma;
+  // The two back-to-back calibrations that flipped the tier under a strict
+  // comparison: both stay on mul32 now.
+  EXPECT_FALSE(Gf61PreferIfma(68857.0, 67108.0));
+  EXPECT_FALSE(Gf61PreferIfma(68000.0, 68320.0));
+  EXPECT_FALSE(Gf61PreferIfma(100000.0, 98000.0));  // 2 % win
+  EXPECT_TRUE(Gf61PreferIfma(100000.0, 80000.0));   // 20 % win
+  EXPECT_FALSE(Gf61PreferIfma(80000.0, 100000.0));  // IFMA slower
+}
+
 TEST(MatMulPanelDeathTest, DimensionMismatchAborts) {
   const Matrix<Gf61> a(3, 4);
   const Matrix<Gf61> x(5, 2);  // inner dimension mismatch

@@ -625,6 +625,35 @@ TEST(AdaptiveTimeouts, ColdStartFallsBackToModelDeadline) {
   EXPECT_EQ(protocol.recovery_metrics().deadline_timeouts, 0u);
 }
 
+// --- Lossy links --------------------------------------------------------
+
+TEST(LossyLinks, DeadlineWaitsForTheChannelRetransmit) {
+  // Link-dominated fleet: a loss-free round trip takes a few ms, so a query
+  // that settles between kMinDeadlineS and kMinDeadlineS + the retransmit
+  // timeout was waiting on a ReliableChannel retransmit. No deadline may
+  // fire in that window: re-sending x would only duplicate the retransmit.
+  Rig rig(16, 5, 8, 70);
+  SimOptions options;
+  options.loss_probability = 0.2;
+  options.retransmit_timeout_s = 0.03;
+  size_t in_window = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    options.loss_seed = seed;
+    FaultTolerantScecProtocol protocol(&rig.deployment, &rig.a,
+                                       rig.problem.fleet.devices(), options);
+    protocol.Stage();
+    ExpectDecodes(rig, protocol.RunQuery(rig.x));
+    const double settled = protocol.metrics().query_completion_time;
+    if (settled > kMinDeadlineS &&
+        settled < kMinDeadlineS + options.retransmit_timeout_s) {
+      ++in_window;
+      EXPECT_EQ(protocol.recovery_metrics().deadline_timeouts, 0u)
+          << "loss seed " << seed << " settled at " << settled << " s";
+    }
+  }
+  EXPECT_GT(in_window, 0u);
+}
+
 // --- Seeded backoff jitter ----------------------------------------------
 
 TEST(BackoffJitter, SameSeedReplaysTheExactTrace) {
