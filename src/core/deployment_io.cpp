@@ -2,8 +2,8 @@
 
 #include "core/deployment_io.h"
 
-#include <cstring>
-#include <fstream>
+#include <algorithm>
+#include <type_traits>
 
 #include "common/serde.h"
 
@@ -17,11 +17,8 @@ constexpr uint8_t kTagGf61 = 1;
 constexpr uint64_t kMaxCells = uint64_t{1} << 29;
 
 template <typename T>
-uint8_t ScalarTag();
-template <>
-uint8_t ScalarTag<double>() { return kTagDouble; }
-template <>
-uint8_t ScalarTag<Gf61>() { return kTagGf61; }
+constexpr uint8_t kScalarTag =
+    std::is_same_v<T, double> ? kTagDouble : kTagGf61;
 
 void WriteScalar(BinaryWriter& writer, double v) { writer.WriteDouble(v); }
 void WriteScalar(BinaryWriter& writer, Gf61 v) { writer.WriteU64(v.value()); }
@@ -51,7 +48,11 @@ Status ReadMatrix(BinaryReader& reader, Matrix<T>* out) {
   uint64_t rows, cols;
   SCEC_RETURN_IF_ERROR(reader.ReadU64(&rows));
   SCEC_RETURN_IF_ERROR(reader.ReadU64(&cols));
-  if (cols != 0 && rows > kMaxCells / cols) {
+  // Every cell takes 8 bytes of input: dimensions the remaining bytes cannot
+  // fill are rejected before the matrix is allocated.
+  const uint64_t max_cells =
+      std::min<uint64_t>(kMaxCells, reader.remaining() / 8);
+  if (cols != 0 && rows > max_cells / cols) {
     return DecodeFailure("matrix dimensions exceed limit");
   }
   Matrix<T> m(static_cast<size_t>(rows), static_cast<size_t>(cols));
@@ -61,11 +62,20 @@ Status ReadMatrix(BinaryReader& reader, Matrix<T>* out) {
 }
 
 template <typename T>
-Status SaveImpl(const Deployment<T>& deployment, std::ostream& os) {
-  BinaryWriter writer(os);
-  os.write(kMagic, sizeof(kMagic));
+std::string Serialized(const Deployment<T>& deployment) {
+  std::string bytes;
+  SerializeDeployment(deployment, &bytes);
+  return bytes;
+}
+
+}  // namespace
+
+template <typename T>
+void SerializeDeployment(const Deployment<T>& deployment, std::string* out) {
+  BinaryWriter writer(out);
+  writer.WriteBytes({kMagic, sizeof(kMagic)});
   writer.WriteU32(kDeploymentFormatVersion);
-  writer.WriteU8(ScalarTag<T>());
+  writer.WriteU8(kScalarTag<T>);
 
   const Plan& plan = deployment.plan;
   writer.WriteU64(deployment.code.m());
@@ -86,16 +96,17 @@ Status SaveImpl(const Deployment<T>& deployment, std::ostream& os) {
     writer.WriteU64(share.device);
     WriteMatrix(writer, share.coded_rows);
   }
-  if (!writer.ok()) return Internal("stream write failed");
-  return Status::Ok();
 }
 
+template void SerializeDeployment(const Deployment<double>&, std::string*);
+template void SerializeDeployment(const Deployment<Gf61>&, std::string*);
+
 template <typename T>
-Result<Deployment<T>> LoadImpl(std::istream& is) {
-  BinaryReader reader(is);
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  if (!is.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+Result<Deployment<T>> ParseDeployment(std::string_view bytes) {
+  BinaryReader reader(bytes);
+  std::string_view magic;
+  if (!reader.ReadBytes(sizeof(kMagic), &magic).ok() ||
+      magic != std::string_view(kMagic, sizeof(kMagic))) {
     return DecodeFailure("bad magic: not an SCEC deployment file");
   }
   uint32_t version;
@@ -106,7 +117,7 @@ Result<Deployment<T>> LoadImpl(std::istream& is) {
   }
   uint8_t tag;
   SCEC_RETURN_IF_ERROR(reader.ReadU8(&tag));
-  if (tag != ScalarTag<T>()) {
+  if (tag != kScalarTag<T>) {
     return DecodeFailure("scalar type mismatch");
   }
 
@@ -169,50 +180,45 @@ Result<Deployment<T>> LoadImpl(std::istream& is) {
   return deployment;
 }
 
-}  // namespace
+template Result<Deployment<double>> ParseDeployment(std::string_view);
+template Result<Deployment<Gf61>> ParseDeployment(std::string_view);
 
 Status SaveDeployment(const Deployment<double>& deployment,
                       std::ostream& os) {
-  return SaveImpl(deployment, os);
+  return WriteToStream(os, Serialized(deployment));
 }
 
 Status SaveDeployment(const Deployment<Gf61>& deployment, std::ostream& os) {
-  return SaveImpl(deployment, os);
+  return WriteToStream(os, Serialized(deployment));
 }
 
 Result<Deployment<double>> LoadDeploymentDouble(std::istream& is) {
-  return LoadImpl<double>(is);
+  return ParseDeployment<double>(ReadStream(is));
 }
 
 Result<Deployment<Gf61>> LoadDeploymentGf61(std::istream& is) {
-  return LoadImpl<Gf61>(is);
+  return ParseDeployment<Gf61>(ReadStream(is));
 }
 
 Status SaveDeploymentToFile(const Deployment<double>& deployment,
                             const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return InvalidArgument("cannot open " + path + " for writing");
-  return SaveDeployment(deployment, os);
+  return WriteFile(path, Serialized(deployment));
 }
 
 Status SaveDeploymentToFile(const Deployment<Gf61>& deployment,
                             const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return InvalidArgument("cannot open " + path + " for writing");
-  return SaveDeployment(deployment, os);
+  return WriteFile(path, Serialized(deployment));
 }
 
 Result<Deployment<double>> LoadDeploymentDoubleFromFile(
     const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return InvalidArgument("cannot open " + path + " for reading");
-  return LoadDeploymentDouble(is);
+  SCEC_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
+  return ParseDeployment<double>(bytes);
 }
 
 Result<Deployment<Gf61>> LoadDeploymentGf61FromFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return InvalidArgument("cannot open " + path + " for reading");
-  return LoadDeploymentGf61(is);
+  SCEC_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
+  return ParseDeployment<Gf61>(bytes);
 }
 
 }  // namespace scec

@@ -17,6 +17,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "core/pipeline.h"
@@ -25,6 +26,16 @@ namespace scec {
 
 inline constexpr uint32_t kDeploymentFormatVersion = 1;
 
+// In-memory forms, for T = double and Gf61: Serialize appends the format to
+// `*out`; Parse reads it from a view and ignores any bytes after the
+// deployment.
+template <typename T>
+void SerializeDeployment(const Deployment<T>& deployment, std::string* out);
+template <typename T>
+Result<Deployment<T>> ParseDeployment(std::string_view bytes);
+
+// Stream forms: the finished buffer is written once; the stream is read
+// once, to its end.
 Status SaveDeployment(const Deployment<double>& deployment, std::ostream& os);
 Status SaveDeployment(const Deployment<Gf61>& deployment, std::ostream& os);
 

@@ -2,9 +2,6 @@
 
 #include "net/wire.h"
 
-#include <cstring>
-#include <sstream>
-
 #include "common/check.h"
 #include "common/serde.h"
 #include "recovery/crc32.h"
@@ -13,12 +10,6 @@ namespace scec::net {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'N', 'E', 'T'};
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
 
 uint32_t GetU32(const char* p) {
   uint32_t v = 0;
@@ -32,16 +23,28 @@ Status ProtocolError(std::string msg) {
   return Status(ErrorCode::kInvalidArgument, std::move(msg));
 }
 
-// Decodes a payload body through a BinaryReader and verifies the stream was
-// consumed exactly (trailing garbage is corruption, not padding).
+// Decodes a payload body through a BinaryReader over the payload view and
+// verifies it was consumed exactly (trailing garbage is corruption, not
+// padding).
+template <typename Msg, typename Fn>
+Result<Msg> DecodeBody(std::string_view payload, Fn&& fn) {
+  Msg msg;
+  BinaryReader reader(payload);
+  SCEC_RETURN_IF_ERROR(fn(reader, msg));
+  if (reader.remaining() != 0) {
+    return ProtocolError("trailing bytes after message body");
+  }
+  return msg;
+}
+
+// Encodes one body into a string reserved to its exact size.
 template <typename Fn>
-Status DecodeBody(std::string_view payload, Fn&& fn) {
-  std::istringstream is{std::string(payload)};
-  BinaryReader reader(is);
-  SCEC_RETURN_IF_ERROR(fn(reader));
-  is.peek();
-  if (!is.eof()) return ProtocolError("trailing bytes after message body");
-  return Status::Ok();
+std::string EncodeBody(size_t size, Fn&& fn) {
+  std::string out;
+  out.reserve(size);
+  BinaryWriter writer(&out);
+  fn(writer);
+  return out;
 }
 
 }  // namespace
@@ -73,76 +76,58 @@ std::string EncodeFrame(WireType type, std::string_view payload) {
   SCEC_CHECK_LE(payload.size(), static_cast<size_t>(kMaxPayloadLen));
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(type));
-  out.push_back(0);  // reserved
-  out.push_back(0);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, recovery::Crc32(payload.data(), payload.size()));
-  PutU32(&out, recovery::Crc32(out.data(), 16));
-  out.append(payload.data(), payload.size());
+  BinaryWriter writer(&out);
+  writer.WriteBytes({kMagic, sizeof(kMagic)});
+  writer.WriteU8(kWireVersion);
+  writer.WriteU8(static_cast<uint8_t>(type));
+  writer.WriteU8(0);  // reserved
+  writer.WriteU8(0);
+  writer.WriteU32(static_cast<uint32_t>(payload.size()));
+  writer.WriteU32(recovery::Crc32(payload.data(), payload.size()));
+  writer.WriteU32(recovery::Crc32(out.data(), 16));
+  writer.WriteBytes(payload);
   return out;
 }
 
 DecodeResult DecodeFrame(std::string_view buffer) {
   DecodeResult result;
-  if (buffer.size() < kFrameHeaderSize) {
-    result.progress = DecodeProgress::kNeedMore;
+  if (buffer.size() < kFrameHeaderSize) return result;  // kNeedMore
+  auto fail = [&result](std::string msg) {
+    result.progress = DecodeProgress::kError;
+    result.status = ProtocolError(std::move(msg));
     return result;
-  }
+  };
   // Header CRC first: it covers magic/version/type/reserved/length/payload-
   // CRC, so any flipped header byte (including the length, which we must not
   // trust before validating) is caught here.
-  const uint32_t header_crc = GetU32(buffer.data() + 16);
-  if (recovery::Crc32(buffer.data(), 16) != header_crc) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("frame header checksum mismatch");
-    return result;
+  if (recovery::Crc32(buffer.data(), 16) != GetU32(buffer.data() + 16)) {
+    return fail("frame header checksum mismatch");
   }
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("bad frame magic");
-    return result;
+  if (!buffer.starts_with(std::string_view(kMagic, sizeof(kMagic)))) {
+    return fail("bad frame magic");
   }
   const uint8_t version = static_cast<uint8_t>(buffer[4]);
   if (version != kWireVersion) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("unsupported wire version " +
-                                  std::to_string(version));
-    return result;
+    return fail("unsupported wire version " + std::to_string(version));
   }
   const uint8_t raw_type = static_cast<uint8_t>(buffer[5]);
   if (!IsKnownWireType(raw_type)) {
-    result.progress = DecodeProgress::kError;
-    result.status =
-        ProtocolError("unknown frame type " + std::to_string(raw_type));
-    return result;
+    return fail("unknown frame type " + std::to_string(raw_type));
   }
-  if (buffer[6] != 0 || buffer[7] != 0) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("nonzero reserved bytes");
-    return result;
-  }
+  if (buffer[6] != 0 || buffer[7] != 0) return fail("nonzero reserved bytes");
   const uint32_t payload_len = GetU32(buffer.data() + 8);
   if (payload_len > kMaxPayloadLen) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("frame payload length " +
-                                  std::to_string(payload_len) +
-                                  " exceeds limit");
-    return result;
+    return fail("frame payload length " + std::to_string(payload_len) +
+                " exceeds limit");
   }
-  if (buffer.size() < kFrameHeaderSize + payload_len) {
-    result.progress = DecodeProgress::kNeedMore;
-    return result;
+  if (buffer.size() - kFrameHeaderSize < payload_len) {
+    return result;  // kNeedMore
   }
   const std::string_view payload =
       buffer.substr(kFrameHeaderSize, payload_len);
-  const uint32_t payload_crc = GetU32(buffer.data() + 12);
-  if (recovery::Crc32(payload.data(), payload.size()) != payload_crc) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("frame payload checksum mismatch");
-    return result;
+  if (recovery::Crc32(payload.data(), payload.size()) !=
+      GetU32(buffer.data() + 12)) {
+    return fail("frame payload checksum mismatch");
   }
   result.progress = DecodeProgress::kFrame;
   result.frame.type = static_cast<WireType>(raw_type);
@@ -179,57 +164,45 @@ Status FrameReader::Feed(std::string_view bytes, std::vector<Frame>* out) {
 // Message bodies.
 
 std::string HelloMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(coordinator_id);
-  writer.WriteU64(session_epoch);
-  return os.str();
+  return EncodeBody(16, [&](BinaryWriter& writer) {
+    writer.WriteU64(coordinator_id);
+    writer.WriteU64(session_epoch);
+  });
 }
 
 Result<HelloMsg> HelloMsg::Decode(std::string_view payload) {
-  HelloMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<HelloMsg>(payload, [](BinaryReader& reader, auto& msg) {
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.coordinator_id));
-    SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.session_epoch));
-    return Status::Ok();
+    return reader.ReadU64(&msg.session_epoch);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string HelloAckMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(daemon_id);
-  writer.WriteU64(shares_held);
-  return os.str();
+  return EncodeBody(16, [&](BinaryWriter& writer) {
+    writer.WriteU64(daemon_id);
+    writer.WriteU64(shares_held);
+  });
 }
 
 Result<HelloAckMsg> HelloAckMsg::Decode(std::string_view payload) {
-  HelloAckMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<HelloAckMsg>(payload, [](BinaryReader& reader, auto& msg) {
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.daemon_id));
-    SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.shares_held));
-    return Status::Ok();
+    return reader.ReadU64(&msg.shares_held);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string ShareMsg::Encode() const {
   SCEC_CHECK_EQ(values.size(), static_cast<size_t>(rows) * cols);
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(share_id);
-  writer.WriteU32(rows);
-  writer.WriteU32(cols);
-  writer.WriteDoubleVector(values);
-  return os.str();
+  return EncodeBody(20 + 8 * values.size(), [&](BinaryWriter& writer) {
+    writer.WriteU64(share_id);
+    writer.WriteU32(rows);
+    writer.WriteU32(cols);
+    writer.WriteDoubleVector(values);
+  });
 }
 
 Result<ShareMsg> ShareMsg::Decode(std::string_view payload) {
-  ShareMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<ShareMsg>(payload, [](BinaryReader& reader, auto& msg) {
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.share_id));
     SCEC_RETURN_IF_ERROR(reader.ReadU32(&msg.rows));
     SCEC_RETURN_IF_ERROR(reader.ReadU32(&msg.cols));
@@ -239,122 +212,88 @@ Result<ShareMsg> ShareMsg::Decode(std::string_view payload) {
     }
     return Status::Ok();
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string ShareAckMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(share_id);
-  writer.WriteU8(ok);
-  writer.WriteString(error);
-  return os.str();
+  return EncodeBody(13 + error.size(), [&](BinaryWriter& writer) {
+    writer.WriteU64(share_id);
+    writer.WriteU8(ok);
+    writer.WriteString(error);
+  });
 }
 
 Result<ShareAckMsg> ShareAckMsg::Decode(std::string_view payload) {
-  ShareAckMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<ShareAckMsg>(payload, [](BinaryReader& reader, auto& msg) {
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.share_id));
     SCEC_RETURN_IF_ERROR(reader.ReadU8(&msg.ok));
-    SCEC_RETURN_IF_ERROR(reader.ReadString(&msg.error));
-    return Status::Ok();
+    return reader.ReadString(&msg.error);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string QueryMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(rpc_id);
-  writer.WriteU64(share_id);
-  writer.WriteDoubleVector(x);
-  return os.str();
+  return EncodeBody(20 + 8 * x.size(), [&](BinaryWriter& writer) {
+    writer.WriteU64(rpc_id);
+    writer.WriteU64(share_id);
+    writer.WriteDoubleVector(x);
+  });
 }
 
 Result<QueryMsg> QueryMsg::Decode(std::string_view payload) {
-  QueryMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<QueryMsg>(payload, [](BinaryReader& reader, auto& msg) {
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.rpc_id));
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.share_id));
-    SCEC_RETURN_IF_ERROR(reader.ReadDoubleVector(&msg.x));
-    return Status::Ok();
+    return reader.ReadDoubleVector(&msg.x);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string ResponseMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(rpc_id);
-  writer.WriteDoubleVector(values);
-  return os.str();
+  return EncodeBody(12 + 8 * values.size(), [&](BinaryWriter& writer) {
+    writer.WriteU64(rpc_id);
+    writer.WriteDoubleVector(values);
+  });
 }
 
 Result<ResponseMsg> ResponseMsg::Decode(std::string_view payload) {
-  ResponseMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<ResponseMsg>(payload, [](BinaryReader& reader, auto& msg) {
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.rpc_id));
-    SCEC_RETURN_IF_ERROR(reader.ReadDoubleVector(&msg.values));
-    return Status::Ok();
+    return reader.ReadDoubleVector(&msg.values);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string RpcErrorMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(rpc_id);
-  writer.WriteU8(code);
-  writer.WriteString(message);
-  return os.str();
+  return EncodeBody(13 + message.size(), [&](BinaryWriter& writer) {
+    writer.WriteU64(rpc_id);
+    writer.WriteU8(code);
+    writer.WriteString(message);
+  });
 }
 
 Result<RpcErrorMsg> RpcErrorMsg::Decode(std::string_view payload) {
-  RpcErrorMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<RpcErrorMsg>(payload, [](BinaryReader& reader, auto& msg) {
     SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.rpc_id));
     SCEC_RETURN_IF_ERROR(reader.ReadU8(&msg.code));
-    SCEC_RETURN_IF_ERROR(reader.ReadString(&msg.message));
-    return Status::Ok();
+    return reader.ReadString(&msg.message);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string HeartbeatMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(seq);
-  return os.str();
+  return EncodeBody(8, [&](BinaryWriter& writer) { writer.WriteU64(seq); });
 }
 
 Result<HeartbeatMsg> HeartbeatMsg::Decode(std::string_view payload) {
-  HeartbeatMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<HeartbeatMsg>(payload, [](BinaryReader& reader, auto& msg) {
     return reader.ReadU64(&msg.seq);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 std::string CancelMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
-  writer.WriteU64(rpc_id);
-  return os.str();
+  return EncodeBody(8, [&](BinaryWriter& writer) { writer.WriteU64(rpc_id); });
 }
 
 Result<CancelMsg> CancelMsg::Decode(std::string_view payload) {
-  CancelMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
+  return DecodeBody<CancelMsg>(payload, [](BinaryReader& reader, auto& msg) {
     return reader.ReadU64(&msg.rpc_id);
   });
-  if (!status.ok()) return status;
-  return msg;
 }
 
 }  // namespace scec::net

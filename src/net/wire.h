@@ -24,8 +24,10 @@
 // accumulate bytes safely. Tested byte-by-byte in tests/test_net_wire.cpp.
 //
 // Payload bodies reuse the BinaryWriter/BinaryReader encoding from
-// common/serde.h (fixed-width little-endian, length-prefixed vectors with
-// allocation bounds against hostile inputs).
+// common/serde.h (fixed-width little-endian, length-prefixed vectors). Each
+// body's Encode writes one string reserved to its exact size; Decode reads
+// the payload view in place, so a length prefix the payload cannot back
+// fails before anything is allocated, and trailing bytes are an error.
 
 #pragma once
 

@@ -3,8 +3,6 @@
 #include "recovery/journal.h"
 
 #include <cstdint>
-#include <cstring>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/serde.h"
@@ -143,28 +141,26 @@ QueryJournal::QueryJournal(std::ostream* os, uint64_t snapshot_crc,
   if (write_header) {
     // The header is written through directly: a journal whose header never
     // reached the disk carries no recoverable state anyway.
-    BinaryWriter writer(*os_);
-    os_->write(kJournalMagic, sizeof(kJournalMagic));
+    BinaryWriter writer(&pending_);
+    writer.WriteBytes({kJournalMagic, sizeof(kJournalMagic)});
     writer.WriteU32(kJournalFormatVersion);
     writer.WriteU64(snapshot_crc);
-    os_->flush();
-    SCEC_CHECK(os_->good());
+    SCEC_CHECK(WriteToStream(*os_, pending_).ok());
+    pending_.clear();
   }
 }
 
 void QueryJournal::Append(const JournalEvent& event) {
-  std::ostringstream payload_os;
-  BinaryWriter payload_writer(payload_os);
-  SerializeEvent(event, payload_writer);
-  const std::string payload = payload_os.str();
-  SCEC_CHECK_LE(payload.size(), kMaxJournalRecordLen);
-
-  std::ostringstream frame_os;
-  BinaryWriter frame(frame_os);
-  frame.WriteU32(static_cast<uint32_t>(payload.size()));
-  frame.WriteU32(Crc32(payload.data(), payload.size()));
-  frame_os << payload;
-  pending_ += frame_os.str();
+  // Frame header first (length and CRC patched in once the payload is
+  // known), then the payload, straight into the batch buffer.
+  const size_t frame = pending_.size();
+  BinaryWriter writer(&pending_);
+  writer.WriteU64(0);
+  SerializeEvent(event, writer);
+  const size_t len = pending_.size() - frame - 8;
+  SCEC_CHECK_LE(len, kMaxJournalRecordLen);
+  writer.PatchU32(frame, static_cast<uint32_t>(len));
+  writer.PatchU32(frame + 4, Crc32(pending_.data() + frame + 8, len));
   ++buffered_events_;
   ++events_appended_;
   JournalInstruments::Get().appends.Increment();
@@ -202,57 +198,52 @@ void QueryJournal::AppendCommitted(const JournalEvent& event) {
 
 void QueryJournal::Commit() {
   if (pending_.empty()) return;
-  os_->write(pending_.data(), pending_.size());
-  os_->flush();
-  SCEC_CHECK(os_->good());
+  SCEC_CHECK(WriteToStream(*os_, pending_).ok());
   pending_.clear();
   buffered_events_ = 0;
   ++commits_;
   JournalInstruments::Get().commits.Increment();
 }
 
-Result<JournalReplay> LoadJournal(const std::string& bytes) {
-  constexpr size_t kHeaderLen = 4 + 4 + 8;
-  if (bytes.size() < kHeaderLen ||
-      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    return DecodeFailure("bad magic: not an SCEC write-ahead journal");
-  }
+Result<JournalReplay> LoadJournal(std::string_view bytes) {
   JournalReplay replay;
   replay.total_bytes = bytes.size();
-  std::memcpy(&replay.version, bytes.data() + 4, sizeof(uint32_t));
+  BinaryReader reader(bytes);
+  std::string_view magic;
+  if (!reader.ReadBytes(sizeof(kJournalMagic), &magic).ok() ||
+      magic != std::string_view(kJournalMagic, sizeof(kJournalMagic)) ||
+      !reader.ReadU32(&replay.version).ok() ||
+      !reader.ReadU64(&replay.snapshot_crc).ok()) {
+    return DecodeFailure("bad magic: not an SCEC write-ahead journal");
+  }
   if (replay.version != kJournalFormatVersion) {
     return DecodeFailure("unsupported journal version " +
                          std::to_string(replay.version));
   }
-  std::memcpy(&replay.snapshot_crc, bytes.data() + 8, sizeof(uint64_t));
 
-  size_t offset = kHeaderLen;
-  while (offset < bytes.size()) {
-    if (bytes.size() - offset < 8) break;  // torn frame header
+  // Each record is parsed in place from a view of `bytes`; the first torn
+  // or damaged one ends the valid prefix.
+  replay.valid_bytes = reader.offset();
+  while (reader.remaining() > 0) {
     uint32_t len = 0;
     uint32_t crc = 0;
-    std::memcpy(&len, bytes.data() + offset, sizeof(uint32_t));
-    std::memcpy(&crc, bytes.data() + offset + 4, sizeof(uint32_t));
-    if (len > kMaxJournalRecordLen || bytes.size() - offset - 8 < len) break;
-    const char* payload = bytes.data() + offset + 8;
-    if (Crc32(payload, len) != crc) break;
-    std::istringstream payload_is(std::string(payload, len));
-    BinaryReader reader(payload_is);
+    std::string_view payload;
+    if (!reader.ReadU32(&len).ok() || !reader.ReadU32(&crc).ok() ||
+        len > kMaxJournalRecordLen || !reader.ReadBytes(len, &payload).ok() ||
+        Crc32(payload.data(), payload.size()) != crc) {
+      break;
+    }
+    BinaryReader record(payload);
     JournalEvent event;
-    if (!DeserializeEvent(reader, &event).ok()) break;
+    if (!DeserializeEvent(record, &event).ok() || record.remaining() != 0) {
+      break;  // trailing bytes inside a record are corruption too
+    }
     replay.events.push_back(std::move(event));
-    offset += 8 + len;
+    replay.valid_bytes = reader.offset();
   }
-  replay.valid_bytes = offset <= bytes.size() ? offset : bytes.size();
   replay.torn_tail = replay.valid_bytes < bytes.size();
   if (replay.torn_tail) JournalInstruments::Get().torn_tails.Increment();
   return replay;
-}
-
-Result<JournalReplay> LoadJournal(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return LoadJournal(buf.str());
 }
 
 Result<ReplayState> BuildReplayState(const JournalReplay& replay) {

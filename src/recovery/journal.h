@@ -19,11 +19,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,8 +92,10 @@ enum class CrashDecision : uint8_t {
 
 using CrashProbe = std::function<CrashDecision(const JournalEvent&)>;
 
-// Append-side journal with group commit. Append() serialises into an
-// in-memory batch; Commit() writes the whole batch to the stream at once.
+// Append-side journal with group commit. Append() serialises each record
+// in place into a reusable batch buffer (frame header reserved, payload
+// written after it, length and CRC patched in); Commit() writes the whole
+// batch to the stream at once.
 // The destructor deliberately does NOT commit: a coordinator that dies with
 // a buffered tail loses it, exactly like a real process kill.
 class QueryJournal {
@@ -147,8 +149,7 @@ struct JournalReplay {
 
 // A bad header (magic/version) is an error; a damaged record merely ends
 // the valid prefix.
-Result<JournalReplay> LoadJournal(const std::string& bytes);
-Result<JournalReplay> LoadJournal(std::istream& is);
+Result<JournalReplay> LoadJournal(std::string_view bytes);
 
 // Per-generation double-entry tallies, for the exactly-once cost audit.
 struct GenerationTally {

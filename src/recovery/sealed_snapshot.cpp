@@ -4,9 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/rng.h"
 #include "common/serde.h"
@@ -35,59 +32,64 @@ ChaCha20Rng SealKeystream(uint64_t sealing_key, uint64_t salt) {
   return ChaCha20Rng(key, nonce);
 }
 
-void XorSeal(std::string* bytes, uint64_t sealing_key, uint64_t salt) {
+void XorSeal(char* bytes, size_t len, uint64_t sealing_key, uint64_t salt) {
   ChaCha20Rng stream = SealKeystream(sealing_key, salt);
-  size_t i = 0;
-  while (i < bytes->size()) {
+  for (size_t i = 0; i < len; i += 8) {
     uint64_t word = stream.NextUint64();
-    const size_t n = std::min<size_t>(8, bytes->size() - i);
+    const size_t n = std::min<size_t>(8, len - i);
     for (size_t b = 0; b < n; ++b) {
-      (*bytes)[i + b] ^= static_cast<char>(word & 0xFFu);
+      bytes[i + b] ^= static_cast<char>(word & 0xFFu);
       word >>= 8;
     }
-    i += n;
-  }
-}
-
-void AppendU32(std::string* bytes, uint32_t v) {
-  for (int b = 0; b < 4; ++b) {
-    bytes->push_back(static_cast<char>((v >> (8 * b)) & 0xFFu));
   }
 }
 
 template <typename T>
-Status SaveSealedImpl(const Deployment<T>& deployment, uint64_t sealing_key,
-                      uint64_t salt, std::ostream& os) {
-  std::ostringstream plain_os;
-  SCEC_RETURN_IF_ERROR(SaveDeployment(deployment, plain_os));
-  std::string payload = plain_os.str();
-  // Inner CRC over the plaintext: after unsealing, this is the proof the
-  // sealing key was right (a wrong key yields uniformly garbled bytes).
-  AppendU32(&payload, Crc32(payload.data(), payload.size()));
-  XorSeal(&payload, sealing_key, salt);
-
-  BinaryWriter writer(os);
-  os.write(kSealedSnapshotMagic, sizeof(kSealedSnapshotMagic));
-  writer.WriteU32(kSealedSnapshotVersion);
-  writer.WriteU64(salt);
-  writer.WriteU32(Crc32(payload.data(), payload.size()));
-  writer.WriteU64(payload.size());
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  os.flush();
-  if (!os.good()) return Internal("sealed snapshot stream write failed");
-  return Status::Ok();
+std::string Sealed(const Deployment<T>& deployment, uint64_t sealing_key,
+                   uint64_t salt) {
+  std::string bytes;
+  SealDeployment(deployment, sealing_key, salt, &bytes);
+  return bytes;
 }
 
-template <typename T, typename LoadFn>
-Result<Deployment<T>> LoadSealedImpl(std::istream& is, uint64_t sealing_key,
-                                     LoadFn load_plain) {
-  char magic[4] = {};
-  is.read(magic, sizeof(magic));
-  if (is.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kSealedSnapshotMagic, sizeof(magic)) != 0) {
+}  // namespace
+
+template <typename T>
+void SealDeployment(const Deployment<T>& deployment, uint64_t sealing_key,
+                    uint64_t salt, std::string* out) {
+  const size_t start = out->size();  // the header's offset in `out`
+  BinaryWriter writer(out);
+  writer.WriteBytes({kSealedSnapshotMagic, sizeof(kSealedSnapshotMagic)});
+  writer.WriteU32(kSealedSnapshotVersion);
+  writer.WriteU64(salt);
+  writer.WriteU32(0);  // outer CRC, patched below
+  writer.WriteU64(0);  // payload length, patched below
+  const size_t payload = out->size();
+  SerializeDeployment(deployment, out);
+  // Inner CRC over the plaintext: after unsealing, this is the proof the
+  // sealing key was right (a wrong key yields uniformly garbled bytes).
+  writer.WriteU32(Crc32(out->data() + payload, out->size() - payload));
+  const size_t payload_len = out->size() - payload;
+  XorSeal(out->data() + payload, payload_len, sealing_key, salt);
+  writer.PatchU32(start + 16, Crc32(out->data() + payload, payload_len));
+  writer.PatchU64(start + 20, payload_len);
+}
+
+template void SealDeployment(const Deployment<double>&, uint64_t, uint64_t,
+                             std::string*);
+template void SealDeployment(const Deployment<Gf61>&, uint64_t, uint64_t,
+                             std::string*);
+
+template <typename T>
+Result<Deployment<T>> UnsealDeployment(std::string_view sealed,
+                                       uint64_t sealing_key) {
+  BinaryReader reader(sealed);
+  std::string_view magic;
+  if (!reader.ReadBytes(sizeof(kSealedSnapshotMagic), &magic).ok() ||
+      magic != std::string_view(kSealedSnapshotMagic,
+                                sizeof(kSealedSnapshotMagic))) {
     return DecodeFailure("bad magic: not a sealed SCEC snapshot");
   }
-  BinaryReader reader(is);
   uint32_t version = 0;
   SCEC_RETURN_IF_ERROR(reader.ReadU32(&version));
   if (version != kSealedSnapshotVersion) {
@@ -103,85 +105,76 @@ Result<Deployment<T>> LoadSealedImpl(std::istream& is, uint64_t sealing_key,
   if (payload_len < 4 || payload_len > kMaxSealedPayloadBytes) {
     return DecodeFailure("sealed snapshot payload length out of range");
   }
-  std::string payload(payload_len, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (static_cast<uint64_t>(is.gcount()) != payload_len) {
+  std::string_view sealed_payload;
+  if (!reader.ReadBytes(payload_len, &sealed_payload).ok()) {
     return DecodeFailure("sealed snapshot truncated");
   }
-  if (Crc32(payload.data(), payload.size()) != stored_crc) {
+  if (Crc32(sealed_payload.data(), sealed_payload.size()) != stored_crc) {
     return DecodeFailure("sealed snapshot checksum mismatch");
   }
-  XorSeal(&payload, sealing_key, salt);
-  const size_t plain_len = payload.size() - 4;
+  // The one copy: the keystream is XORed off in place.
+  std::string payload(sealed_payload);
+  XorSeal(payload.data(), payload.size(), sealing_key, salt);
+  BinaryReader plain(payload);
+  std::string_view deployment;
   uint32_t inner_crc = 0;
-  for (int b = 3; b >= 0; --b) {
-    inner_crc = (inner_crc << 8) |
-                static_cast<unsigned char>(payload[plain_len + b]);
-  }
-  if (Crc32(payload.data(), plain_len) != inner_crc) {
+  SCEC_RETURN_IF_ERROR(plain.ReadBytes(payload.size() - 4, &deployment));
+  SCEC_RETURN_IF_ERROR(plain.ReadU32(&inner_crc));
+  if (Crc32(deployment.data(), deployment.size()) != inner_crc) {
     return InvalidArgument("sealing key mismatch or corrupted snapshot");
   }
-  std::istringstream plain_is(payload.substr(0, plain_len));
-  return load_plain(plain_is);
+  return ParseDeployment<T>(deployment);
 }
 
-}  // namespace
+template Result<Deployment<double>> UnsealDeployment(std::string_view,
+                                                     uint64_t);
+template Result<Deployment<Gf61>> UnsealDeployment(std::string_view,
+                                                   uint64_t);
 
 Status SaveSealedDeployment(const Deployment<double>& deployment,
                             uint64_t sealing_key, uint64_t salt,
                             std::ostream& os) {
-  return SaveSealedImpl(deployment, sealing_key, salt, os);
+  return WriteToStream(os, Sealed(deployment, sealing_key, salt));
 }
 
 Status SaveSealedDeployment(const Deployment<Gf61>& deployment,
                             uint64_t sealing_key, uint64_t salt,
                             std::ostream& os) {
-  return SaveSealedImpl(deployment, sealing_key, salt, os);
+  return WriteToStream(os, Sealed(deployment, sealing_key, salt));
 }
 
 Result<Deployment<double>> LoadSealedDeploymentDouble(std::istream& is,
                                                       uint64_t sealing_key) {
-  return LoadSealedImpl<double>(
-      is, sealing_key, [](std::istream& plain) {
-        return LoadDeploymentDouble(plain);
-      });
+  return UnsealDeployment<double>(ReadStream(is), sealing_key);
 }
 
 Result<Deployment<Gf61>> LoadSealedDeploymentGf61(std::istream& is,
                                                   uint64_t sealing_key) {
-  return LoadSealedImpl<Gf61>(is, sealing_key, [](std::istream& plain) {
-    return LoadDeploymentGf61(plain);
-  });
+  return UnsealDeployment<Gf61>(ReadStream(is), sealing_key);
 }
 
 Status SaveSealedDeploymentToFile(const Deployment<double>& deployment,
                                   uint64_t sealing_key, uint64_t salt,
                                   const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return InvalidArgument("cannot open " + path + " for writing");
-  return SaveSealedDeployment(deployment, sealing_key, salt, os);
+  return WriteFile(path, Sealed(deployment, sealing_key, salt));
 }
 
 Status SaveSealedDeploymentToFile(const Deployment<Gf61>& deployment,
                                   uint64_t sealing_key, uint64_t salt,
                                   const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return InvalidArgument("cannot open " + path + " for writing");
-  return SaveSealedDeployment(deployment, sealing_key, salt, os);
+  return WriteFile(path, Sealed(deployment, sealing_key, salt));
 }
 
 Result<Deployment<double>> LoadSealedDeploymentDoubleFromFile(
     const std::string& path, uint64_t sealing_key) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return InvalidArgument("cannot open " + path + " for reading");
-  return LoadSealedDeploymentDouble(is, sealing_key);
+  SCEC_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
+  return UnsealDeployment<double>(bytes, sealing_key);
 }
 
 Result<Deployment<Gf61>> LoadSealedDeploymentGf61FromFile(
     const std::string& path, uint64_t sealing_key) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return InvalidArgument("cannot open " + path + " for reading");
-  return LoadSealedDeploymentGf61(is, sealing_key);
+  SCEC_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
+  return UnsealDeployment<Gf61>(bytes, sealing_key);
 }
 
 }  // namespace scec::recovery

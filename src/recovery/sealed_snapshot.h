@@ -25,6 +25,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "core/pipeline.h"
@@ -36,6 +37,18 @@ inline constexpr char kSealedSnapshotMagic[4] = {'S', 'C', 'S', 'S'};
 // Upper bound on the sealed payload; anything larger is corruption.
 inline constexpr uint64_t kMaxSealedPayloadBytes = 1ull << 28;
 
+// In-memory forms, for T = double and Gf61: Seal appends the snapshot to
+// `*out`, serializing and sealing in that one buffer; Unseal copies the
+// sealed payload once and XORs the keystream off in place before parsing.
+template <typename T>
+void SealDeployment(const Deployment<T>& deployment, uint64_t sealing_key,
+                    uint64_t salt, std::string* out);
+template <typename T>
+Result<Deployment<T>> UnsealDeployment(std::string_view sealed,
+                                       uint64_t sealing_key);
+
+// Stream forms: the finished buffer is written once; the stream is read
+// once, to its end.
 Status SaveSealedDeployment(const Deployment<double>& deployment,
                             uint64_t sealing_key, uint64_t salt,
                             std::ostream& os);

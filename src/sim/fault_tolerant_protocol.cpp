@@ -445,11 +445,19 @@ double FaultTolerantScecProtocol::ModelDeadlineFor(
                           flops / spec.compute_rate_flops +
                           response_bits / spec.uplink_bps;
   // Over lossy links the reliable channel retransmits a lost x or response
-  // on its own after retransmit_timeout_s; a deadline below that re-sends x
-  // redundantly and draws a duplicate response.
-  const double floor =
-      channel_ != nullptr ? kMinDeadlineS + options_.retransmit_timeout_s
-                          : kMinDeadlineS;
+  // on its own every retransmit_timeout_s; a deadline that fires while it
+  // does re-sends x redundantly and draws a duplicate response. Each of the
+  // two legs gets the smallest k retransmits with p^k <= kLossTailProbability
+  // (at most max_retries).
+  double floor = kMinDeadlineS;
+  if (channel_ != nullptr) {
+    size_t k = 0;
+    while (k < options_.max_retries &&
+           std::pow(options_.loss_probability, k) > kLossTailProbability) {
+      ++k;
+    }
+    floor += 2.0 * static_cast<double>(k) * options_.retransmit_timeout_s;
+  }
   return std::max(floor, kDeadlineFactor * estimate);
 }
 

@@ -109,12 +109,15 @@ namespace scec::sim {
 // Detection and speculation limits. Model deadline = max(kMinDeadlineS,
 // kDeadlineFactor × the device's estimated round trip: x transfer + compute
 // + response transfer); the factor absorbs stragglers and queueing. Over
-// lossy links the floor is kMinDeadlineS + the channel's retransmit
-// timeout, so a retransmit gets its chance before the query is re-sent. An
+// lossy links the floor adds, for each of the two legs, as many channel
+// retransmit timeouts as it takes for all of them to be lost with
+// probability <= kLossTailProbability, so the channel's own retransmits get
+// their chance before the query is re-sent. An
 // adaptive deadline is max(kMinDeadlineS, kTimeoutMargin × the device's
 // observed kTimeoutQuantile-percentile response time).
 inline constexpr double kDeadlineFactor = 4.0;
 inline constexpr double kMinDeadlineS = 0.02;
+inline constexpr double kLossTailProbability = 0.01;
 inline constexpr double kTimeoutQuantile = 0.99;
 inline constexpr double kTimeoutMargin = 3.0;
 // Hedges dispatched per query, at most.

@@ -654,6 +654,30 @@ TEST(LossyLinks, DeadlineWaitsForTheChannelRetransmit) {
   EXPECT_GT(in_window, 0u);
 }
 
+TEST(LossyLinks, DeadlineCoversTheRetransmitTail) {
+  // At loss 0.5 a message often needs several retransmits. The deadline
+  // budgets enough of them on both legs that the channel's own retransmits
+  // deliver all but the kLossTailProbability tail, so deadline re-sends of
+  // x stay rare (a floor of one retransmit timeout re-sent x 111 times on
+  // these 200 dispatches).
+  Rig rig(16, 5, 8, 70);
+  SimOptions options;
+  options.loss_probability = 0.5;
+  options.retransmit_timeout_s = 0.03;
+  options.max_retries = 80;
+  uint64_t retries = 0, dispatches = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    options.loss_seed = seed;
+    FaultTolerantScecProtocol protocol(&rig.deployment, &rig.a,
+                                       rig.problem.fleet.devices(), options);
+    protocol.Stage();
+    ExpectDecodes(rig, protocol.RunQuery(rig.x));
+    retries += protocol.recovery_metrics().retries_sent;
+    dispatches += rig.deployment.shares.size();
+  }
+  EXPECT_LE(retries * 50, dispatches) << retries << " deadline retries";
+}
+
 // --- Seeded backoff jitter ----------------------------------------------
 
 TEST(BackoffJitter, SameSeedReplaysTheExactTrace) {

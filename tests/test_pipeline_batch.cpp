@@ -8,51 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "workload/distributions.h"
-
-// The zero-allocation test replaces global operator new/delete with counting
-// versions. Sanitizer runtimes own the allocator, so skip there.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define SCEC_ALLOC_COUNTER 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define SCEC_ALLOC_COUNTER 0
-#else
-#define SCEC_ALLOC_COUNTER 1
-#endif
-#else
-#define SCEC_ALLOC_COUNTER 1
-#endif
-
-#if SCEC_ALLOC_COUNTER
-// GCC pairs the malloc-backed replacement operator new with the library
-// operator delete at inlined call sites and warns; the pairing is fine
-// because both replacements below are global.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // SCEC_ALLOC_COUNTER
 
 namespace scec {
 namespace {
@@ -227,9 +186,9 @@ TYPED_TEST(PipelineBatchTest, VerifiedBatchRejectsCorruptedPanelNamingDevice) {
 }
 
 TEST(PipelineBatch, SteadyStateQueryIntoDoesNotAllocate) {
-#if !SCEC_ALLOC_COUNTER
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
+  if (!testutil::kAllocProbeActive) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
   Matrix<Gf61> a;
   const auto deployment = MakeDeployment<Gf61>(40, 8, 10, 30, &a);
   ASSERT_TRUE(deployment.ok()) << deployment.status();
@@ -243,20 +202,20 @@ TEST(PipelineBatch, SteadyStateQueryIntoDoesNotAllocate) {
   // Warm-up (first call may touch lazily initialised state).
   QueryInto(*deployment, std::span<const Gf61>(queries[0]), ws);
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  size_t allocations = 0;
   Gf61 sink = Gf61::Zero();
-  for (const auto& x : queries) {
-    const auto ax = QueryInto(*deployment, std::span<const Gf61>(x), ws);
-    sink += ax[0];
+  {
+    testutil::ScopedAllocProbe probe;
+    for (const auto& x : queries) {
+      const auto ax = QueryInto(*deployment, std::span<const Gf61>(x), ws);
+      sink += ax[0];
+    }
+    allocations = probe.count();
   }
-  g_count_allocs.store(false);
 
-  EXPECT_EQ(g_alloc_count.load(), 0u)
-      << "steady-state QueryInto allocated on the heap";
+  EXPECT_EQ(allocations, 0u) << "steady-state QueryInto allocated on the heap";
   // Keep the decoded values observable so the loop cannot be elided.
   EXPECT_EQ(sink == sink, true);
-#endif
 }
 
 }  // namespace
