@@ -8,7 +8,9 @@
 //
 //   single     max_batch = 1  — one ServeBatch panel per query (the
 //                               one-query-at-a-time baseline)
-//   coalesced  max_batch = B  — deadline-class batch coalescing
+//   coalesced  max_batch = B  — work-conserving coalescing: a batch closes
+//                               once the server is free and carries every
+//                               query its (tenant, class) queued meanwhile
 //
 // Per arm the harness reports saturation throughput (flood drain: every
 // query queued at t=0, throughput = queries / wall drain time) and a
@@ -159,9 +161,11 @@ struct RunStats {
 };
 
 // Replays one arrival trace through a coordinator. Virtual single-server
-// model: the decision clock follows arrivals; batches due at or before an
-// arrival are pumped first, and each pump's measured wall service extends
-// a virtual busy period (`free_at`) so queueing delay under load is real.
+// model: the decision clock follows arrivals; a due batch runs at
+// max(due, free_at), every batch the server reaches before an arrival is
+// pumped first, and each pump's measured wall service extends a virtual
+// busy period (`free_at`) so queueing delay under load is real and the
+// queries that arrive while a panel runs coalesce into the next one.
 RunStats Replay(ServeCoordinator<Gf61>& coordinator,
                 const std::vector<Tenant>& tenants,
                 const std::vector<Arrival>& trace, uint64_t seed) {
@@ -200,14 +204,12 @@ RunStats Replay(ServeCoordinator<Gf61>& coordinator,
   };
 
   for (const Arrival& arrival : trace) {
-    // Close every batch that came due before this arrival. Pumping at
-    // t >= NextCloseDeadline() always closes at least the oldest due
-    // batch (the deadline and Form() evaluate the same timeout on the
-    // same estimator state), so this loop strictly drains.
+    // Pumping at t >= NextCloseDeadline() always closes at least the
+    // oldest queued batch, so this loop strictly drains.
     while (coordinator.QueueDepth() > 0) {
-      const double next_close = coordinator.NextCloseDeadline();
-      if (next_close > arrival.at_s) break;
-      pump(std::max(next_close, free_at), /*flush=*/false);
+      const double at = std::max(coordinator.NextCloseDeadline(), free_at);
+      if (at > arrival.at_s) break;
+      pump(at, /*flush=*/false);
     }
     now = std::max(now, arrival.at_s);
     const Tenant& world = tenants[arrival.tenant];
@@ -223,8 +225,7 @@ RunStats Replay(ServeCoordinator<Gf61>& coordinator,
   return stats;
 }
 
-ServeOptions ArmOptions(const LoadFlags& flags, size_t max_batch,
-                        scec::ThreadPool* pool,
+ServeOptions ArmOptions(size_t max_batch, scec::ThreadPool* pool,
                         scec::obs::MetricsRegistry* metrics) {
   ServeOptions options;
   options.batching.max_batch = max_batch;
@@ -285,7 +286,7 @@ ArmResult RunArm(const std::string& name, size_t max_batch,
     scec::obs::MetricsRegistry metrics;
     ServeCoordinator<Gf61> coordinator(
         tenants.size(), DeployFnFor(tenants, seed),
-        ArmOptions(flags, max_batch, pool, &metrics));
+        ArmOptions(max_batch, pool, &metrics));
     std::vector<Arrival> flood(static_cast<size_t>(flags.flood_queries));
     for (size_t i = 0; i < flood.size(); ++i) {
       flood[i].at_s = 0.0;
@@ -335,7 +336,7 @@ ArmResult RunArm(const std::string& name, size_t max_batch,
     scec::obs::MetricsRegistry metrics;
     ServeCoordinator<Gf61> coordinator(
         tenants.size(), DeployFnFor(tenants, seed),
-        ArmOptions(flags, max_batch, pool, &metrics));
+        ArmOptions(max_batch, pool, &metrics));
     const auto trace = PoissonTrace(tenants.size(), rate, flags.duration_s,
                                     seed + static_cast<uint64_t>(rate));
     const RunStats stats = Replay(coordinator, tenants, trace, seed);

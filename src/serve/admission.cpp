@@ -81,19 +81,13 @@ void AdmissionOptions::Validate() const {
 }
 
 double ForecastQueueWait(size_t queued_ahead, size_t max_batch,
-                         DeadlineClass cls, const BatchTimeoutOptions& timeout,
                          const AdmissionOptions& options,
                          const sim::LatencyEstimator& serve_latency) {
   SCEC_CHECK_GT(max_batch, 0u);
-  static_cast<void>(cls);      // kept in the signature: a future forecast may
-  static_cast<void>(timeout);  // weight the hold per class
   if (!serve_latency.HasEstimate()) return 0.0;  // cold start: admit
   const double service_q = serve_latency.Quantile(options.service_quantile);
   // Panels the backlog ahead of this query becomes (its own batch included),
-  // each costing ~service_q. No coalescing-hold term: under load batches
-  // close full rather than at the timeout, and BatchCloseTimeout already
-  // reserves service headroom for the hold case (adding both would
-  // double-book the budget and reject at a backlog of one panel).
+  // each costing ~service_q.
   const double backlog_panels =
       static_cast<double>(queued_ahead / max_batch + 1);
   return backlog_panels * service_q;

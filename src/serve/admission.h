@@ -112,13 +112,10 @@ struct AdmissionOptions {
 // Backlog-based queue-wait forecast: the time a query admitted NOW is
 // expected to spend waiting, i.e. the panels the backlog ahead of it drains
 // into (its own panel included) times the observed per-panel service
-// quantile. The coalescing hold is deliberately NOT added: under load —
-// exactly when this gate matters — batches close full, immediately, and the
-// close timeout is already sized so a batch that closes at it still serves
-// within budget. Returns 0 while the estimator is cold (< min_samples
+// quantile. Batches are never held open (serve/batch_former.h), so there is
+// no hold term. Returns 0 while the estimator is cold (< min_samples
 // panels).
 double ForecastQueueWait(size_t queued_ahead, size_t max_batch,
-                         DeadlineClass cls, const BatchTimeoutOptions& timeout,
                          const AdmissionOptions& options,
                          const sim::LatencyEstimator& serve_latency);
 

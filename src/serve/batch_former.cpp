@@ -24,7 +24,7 @@ void BatchFormerOptions::Validate() const {
   SCEC_CHECK_GT(max_batch, 0u);
   SCEC_CHECK_GT(per_tenant_queue_limit, 0u);
   SCEC_CHECK_GE(per_tenant_queue_limit, max_batch);
-  timeout.Validate();
+  budgets.Validate();
 }
 
 BatchFormer::BatchFormer(size_t num_tenants, BatchFormerOptions options)
@@ -49,10 +49,6 @@ bool BatchFormer::Enqueue(const QueuedTicket& ticket) {
   return true;
 }
 
-double BatchFormer::CloseTimeout(DeadlineClass cls) const {
-  return BatchCloseTimeout(cls, options_.timeout, serve_latency_);
-}
-
 std::vector<FormedBatch> BatchFormer::Form(double now_s, bool flush) {
   std::vector<FormedBatch> formed;
   const size_t n = queues_.size();
@@ -61,22 +57,16 @@ std::vector<FormedBatch> BatchFormer::Form(double now_s, bool flush) {
     for (size_t c = 0; c < kNumDeadlineClasses; ++c) {
       const DeadlineClass cls = static_cast<DeadlineClass>(c);
       auto& fifo = queues_[tenant][c];
-      const double close_after = CloseTimeout(cls);
       while (!fifo.empty()) {
         BatchCloseReason reason;
         if (fifo.size() >= options_.max_batch) {
           reason = BatchCloseReason::kFull;
         } else if (flush) {
           reason = BatchCloseReason::kFlush;
-        } else if (rush_ && now_s >= fifo.front().enqueue_s) {
-          reason = BatchCloseReason::kDeadline;
-        } else if (now_s >= fifo.front().enqueue_s + close_after) {
-          // Same expression as NextCloseDeadline's due time, so pumping AT
-          // the advertised deadline always closes the batch (a - b >= T can
-          // round below T exactly when a == b + T).
+        } else if (fifo.front().enqueue_s <= now_s) {
           reason = BatchCloseReason::kDeadline;
         } else {
-          break;  // oldest query can still wait — keep coalescing
+          break;  // oldest query has not arrived on this clock yet
         }
         FormedBatch batch;
         batch.tenant = tenant;
@@ -101,18 +91,13 @@ std::vector<FormedBatch> BatchFormer::Form(double now_s, bool flush) {
 double BatchFormer::NextCloseDeadline() const {
   double next = std::numeric_limits<double>::infinity();
   for (const auto& per_tenant : queues_) {
-    for (size_t c = 0; c < kNumDeadlineClasses; ++c) {
-      const auto& fifo = per_tenant[c];
+    for (const auto& fifo : per_tenant) {
       if (fifo.empty()) continue;
       if (fifo.size() >= options_.max_batch) {
         // A full batch is due immediately.
         return -std::numeric_limits<double>::infinity();
       }
-      const double due =
-          rush_ ? fifo.front().enqueue_s
-                : fifo.front().enqueue_s +
-                      CloseTimeout(static_cast<DeadlineClass>(c));
-      next = std::min(next, due);
+      next = std::min(next, fifo.front().enqueue_s);
     }
   }
   return next;

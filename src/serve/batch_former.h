@@ -12,20 +12,18 @@
 // panel execution underneath fans out (tests/test_batch_former.cpp pins
 // this down).
 //
-// Policy (docs/SERVING.md):
+// Policy (docs/SERVING.md), work-conserving:
 //   * a (tenant, class) batch closes FULL when max_batch queries are queued;
-//   * otherwise it closes on DEADLINE when its oldest query has waited
-//     BatchCloseTimeout(class) — a timeout sized from the class budget minus
-//     the observed panel service time (serve/deadline.h), fed back through
-//     ObserveServeSeconds();
+//   * otherwise it is due at its oldest query's enqueue time: Form(now)
+//     closes every queue whose oldest query arrived at or before `now`, in
+//     chunks of at most max_batch. Coalescing comes from the caller, whose
+//     Pump is the single server: a driver pumps a due batch once the server
+//     is free, at max(due, free_at), so the queries that arrive while a
+//     panel runs ride together in the next panel. Batches widen with load up
+//     to max_batch, and a lone query on an idle server never waits;
 //   * Form() scans tenants round-robin from a rotating cursor, so a hot
 //     tenant cannot starve the others' due batches; within a tenant,
-//     latency-sensitive classes close first;
-//   * in RUSH mode (set_rush) every queued batch is due immediately: while
-//     the brownout breaker is not closed, coalescing buys nothing — almost
-//     no traffic is admitted — and holding the half-open canary to a close
-//     timeout sized from a brownout-poisoned estimator would delay the very
-//     verdict that lets the breaker recover.
+//     latency-sensitive classes close first.
 
 #pragma once
 
@@ -48,7 +46,11 @@ struct QueuedTicket {
   double enqueue_s = 0.0;
 };
 
+// kDeadline: a partial batch closed at a pump at or after its oldest
+// query's enqueue time.
 enum class BatchCloseReason { kFull, kDeadline, kFlush };
+
+inline constexpr size_t kNumBatchCloseReasons = 3;
 
 const char* BatchCloseReasonName(BatchCloseReason reason);
 
@@ -65,7 +67,9 @@ struct BatchFormerOptions {
   // Admission bound per tenant across its classes; Enqueue refuses beyond
   // it (the caller surfaces the rejection).
   size_t per_tenant_queue_limit = 256;
-  BatchTimeoutOptions timeout;
+  // Class completion budgets: admission feasibility and the breaker's
+  // per-batch failure test read them (serve/coordinator.h).
+  DeadlineBudgets budgets;
 
   void Validate() const;
 };
@@ -81,11 +85,13 @@ class BatchFormer {
 
   // Closes every batch due at `now_s` (see policy above) and hands the
   // groupings back in service order. With `flush` every queued ticket is
-  // drained regardless of deadlines (shutdown / end of open-loop run).
+  // drained, even one enqueued after `now_s` (shutdown / end of open-loop
+  // run).
   std::vector<FormedBatch> Form(double now_s, bool flush = false);
 
-  // Absolute time the earliest queued batch must close; +infinity when
-  // idle. Drives the caller's pump scheduling.
+  // Absolute time the earliest queued batch is due: the oldest queued
+  // enqueue_s, -infinity when a queue is full, +infinity when idle. Drives
+  // the caller's pump scheduling.
   double NextCloseDeadline() const;
 
   // Drains every queued ticket of `cls` across all tenants, in tenant then
@@ -95,14 +101,9 @@ class BatchFormer {
   // (the shed-accounting chaos invariant).
   std::vector<QueuedTicket> ShedClass(DeadlineClass cls);
 
-  // Feeds one observed panel service duration into the estimator that
-  // sizes the deadline-class close timeouts.
+  // Feeds one observed panel service duration into the estimator behind
+  // admission's queue-wait forecast (ForecastQueueWait, serve/admission.h).
   void ObserveServeSeconds(double seconds) { serve_latency_.Observe(seconds); }
-
-  // Rush mode: every queued batch is due at its oldest ticket's enqueue
-  // time, ignoring close timeouts (see policy above).
-  void set_rush(bool rush) { rush_ = rush; }
-  bool rush() const { return rush_; }
 
   // Drops the latency window back to cold start — the coordinator calls
   // this when the brownout breaker closes and the window is known to be
@@ -116,15 +117,12 @@ class BatchFormer {
   const BatchFormerOptions& options() const { return options_; }
 
  private:
-  double CloseTimeout(DeadlineClass cls) const;
-
   BatchFormerOptions options_;
   std::vector<std::array<std::deque<QueuedTicket>, kNumDeadlineClasses>>
       queues_;  // [tenant][class]
   sim::LatencyEstimator serve_latency_;
   size_t cursor_ = 0;   // round-robin start tenant of the next Form()
   size_t depth_ = 0;    // total queued tickets
-  bool rush_ = false;   // close everything queued at the next Form()
 };
 
 }  // namespace scec::serve

@@ -9,8 +9,9 @@
 //        │                             deadline feasibility + bounded FIFO
 //        │                             (typed rejects: serve/admission.h,
 //        ▼                             scec_serve_reject_total{reason=...})
-//   Pump(now)                          batch formation: deadline-class
-//        │                             coalescing (serve/batch_former.h);
+//   Pump(now)                          batch formation: every queue whose
+//        │                             oldest query has arrived closes, up
+//        │                             to max_batch (serve/batch_former.h);
 //        │                             ladder rungs shed queued ballast as
 //        ▼                             explicit shed completions
 //   DeploymentCache::Acquire(tenant)   encode-once reuse: LRU + Lease pin
@@ -33,6 +34,11 @@
 // columns) or shed (explicit, typed). The shed-accounting chaos invariant
 // (sim/overload_chaos.h) checks submitted == rejected + completed + shed.
 //
+// Pump is the single server. A driver pumps a due batch once the previous
+// pump has returned (at max(due, free_at) on a virtual clock), so queries
+// that arrive while a panel runs coalesce into the next panel: batches are
+// as wide as the load makes them, and an idle server never holds a query.
+//
 // The coordinator separates the DECISION clock from the MEASUREMENT clock:
 // Submit/Pump take an external `now_s` (virtual in the load bench and the
 // determinism tests, wall in live use), while panel service time is measured
@@ -47,6 +53,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -85,12 +92,12 @@ struct ServeOptions {
   bool spot_verify = false;
   // Virtual service model: seconds one panel of `width` columns takes. When
   // set it replaces the WALL measurement everywhere a service time feeds a
-  // DECISION (close-timeout estimator, breaker outcomes) — the overload
+  // DECISION (admission forecast, breaker outcomes) — the overload
   // chaos harness and determinism tests script fleet brownouts through it.
   // Null = measure the real panel (live mode).
   std::function<double(size_t width)> service_model;
   // Replica lanes batches are placed on (see placement.h). Lane choice is
-  // recorded per completion and in scec_serve_batches_total{replica=...}.
+  // recorded per completion.
   size_t num_replicas = 1;
   // Optional reputation scores driving lane choice and the breaker's
   // fleet-health signal; not owned, may be null.
@@ -158,8 +165,18 @@ class ServeCoordinator {
             "scec_serve_batch_size", {},
             {1, 2, 4, 8, 16, 32, 64, 128, 256})),
         queue_wait_hist_(metrics_.GetHistogram("scec_serve_queue_wait_seconds")),
-        service_hist_(metrics_.GetHistogram("scec_serve_panel_seconds")) {
+        service_hist_(metrics_.GetHistogram("scec_serve_panel_seconds")),
+        verify_checked_(metrics_.GetCounter("scec_serve_verify_total",
+                                            {{"result", "checked"}})),
+        verify_sampled_out_(metrics_.GetCounter(
+            "scec_serve_verify_total", {{"result", "sampled_out"}})) {
     SCEC_CHECK(deploy_ != nullptr);
+    for (size_t r = 0; r < kNumBatchCloseReasons; ++r) {
+      batches_total_[r] = &metrics_.GetCounter(
+          "scec_serve_batches_total",
+          {{"reason",
+            BatchCloseReasonName(static_cast<BatchCloseReason>(r))}});
+    }
   }
 
   // Admits one query for `tenant` under `cls`, or rejects it with a typed
@@ -170,9 +187,7 @@ class ServeCoordinator {
     std::lock_guard<std::mutex> lock(mutex_);
     UpdateProtection(now_s);
 
-    const bool allowed = breaker_.Allow(now_s);
-    SyncRush();  // Allow() may have moved open -> half-open
-    if (!allowed) {
+    if (!breaker_.Allow(now_s)) {
       return Reject(RejectReason::kBrownout);
     }
     // If Allow consumed the half-open canary slot, every later gate that
@@ -187,12 +202,11 @@ class ServeCoordinator {
     if (quota != RejectReason::kNone) {
       return Reject(quota, canary);
     }
-    const double forecast = ForecastQueueWait(
-        former_.depth(), options_.batching.max_batch, cls,
-        options_.batching.timeout, options_.admission,
-        former_.serve_latency());
+    const double forecast =
+        ForecastQueueWait(former_.depth(), options_.batching.max_batch,
+                          options_.admission, former_.serve_latency());
     const RejectReason deadline = admission_.AdmitDeadline(
-        cls, forecast, options_.batching.timeout.budgets);
+        cls, forecast, options_.batching.budgets);
     if (deadline != RejectReason::kNone) {
       return Reject(deadline, canary);
     }
@@ -213,10 +227,11 @@ class ServeCoordinator {
     return {Status::Ok(), RejectReason::kNone, ticket.ticket};
   }
 
-  // Forms and executes every batch due at `now_s`; with `flush` drains all
-  // queues regardless of deadlines. Each batch becomes one ServeBatch panel
-  // call against the tenant's leased session. Ladder rungs first convert
-  // queued ballast classes into explicit shed completions.
+  // Forms and executes every batch due at `now_s` — every queued query that
+  // arrived at or before it; with `flush` drains all queues. Each batch
+  // becomes one ServeBatch panel call against the tenant's leased session.
+  // Ladder rungs first convert queued ballast classes into explicit shed
+  // completions.
   std::vector<Completion> Pump(double now_s, bool flush = false) {
     std::lock_guard<std::mutex> lock(mutex_);
     UpdateProtection(now_s);
@@ -225,13 +240,13 @@ class ServeCoordinator {
     for (FormedBatch& batch : former_.Form(now_s, flush)) {
       ExecuteBatch(batch, now_s, &completions);
     }
-    SyncRush();  // batch outcomes may have tripped or closed the breaker
     queue_depth_.Set(static_cast<double>(former_.depth()));
     return completions;
   }
 
-  // Decision-clock instant the next queued batch must close (+infinity when
-  // idle); callers pump at or before it.
+  // Decision-clock instant the next queued batch is due: the oldest queued
+  // enqueue time, -infinity when a batch is full, +infinity when idle.
+  // Callers pump at max(due, the instant their previous pump returned).
   double NextCloseDeadline() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return former_.NextCloseDeadline();
@@ -298,24 +313,6 @@ class ServeCoordinator {
     return static_cast<double>(former_.depth()) / static_cast<double>(limit);
   }
 
-  // While the breaker is anything but closed, the former rushes: queued
-  // batches (the half-open canary above all) close at the next pump instead
-  // of waiting out close timeouts sized from a brownout-poisoned latency
-  // estimator — otherwise the canary verdict that would recover the breaker
-  // is itself delayed by the brownout, and recovery goes metastable.
-  void SyncRush() {
-    const bool rushing = breaker_.state() != BreakerState::kClosed;
-    if (!rushing && former_.rush()) {
-      // The breaker just closed: its canaries proved service is healthy
-      // again, so the latency window full of brownout-era samples is
-      // known-stale. Re-warm from post-recovery panels (cold start admits)
-      // instead of letting inflated forecasts choke admission for another
-      // full window — the second metastable loop this layer must break.
-      former_.ResetServeLatency();
-    }
-    former_.set_rush(rushing);
-  }
-
   void UpdateProtection(double now_s) {
     if (options_.reputation != nullptr && breaker_.enabled() &&
         options_.reputation->size() > 0) {
@@ -334,7 +331,6 @@ class ServeCoordinator {
     }
     overload_level_.Set(static_cast<double>(after));
     breaker_state_.Set(static_cast<double>(breaker_.state()));
-    SyncRush();  // ObserveFleetHealth may have tripped the breaker
   }
 
   // Converts the queued tickets of every ladder-shed class into explicit
@@ -399,21 +395,26 @@ class ServeCoordinator {
     Stopwatch timer;  // measurement clock: real panel service time
     const Matrix<T> y = lease.session().ServeBatch(x, options_.pool);
     const double wall_s = timer.ElapsedSeconds();
-    // Decisions (close-timeout estimator, breaker) see the virtual model
-    // when one is configured; the wall histogram stays honest either way.
+    // Decisions (admission forecast, breaker) see the virtual model when
+    // one is configured; the wall histogram stays honest either way.
     const double service_s =
         options_.service_model ? options_.service_model(width) : wall_s;
     former_.ObserveServeSeconds(service_s);
     service_hist_.Observe(wall_s);
+    const bool was_closed = breaker_.state() == BreakerState::kClosed;
     breaker_.ObserveOutcome(
         now_s,
-        /*failure=*/service_s >
-            options_.batching.timeout.budgets.Budget(batch.cls));
+        /*failure=*/service_s > options_.batching.budgets.Budget(batch.cls));
+    if (!was_closed && breaker_.state() == BreakerState::kClosed) {
+      // The canaries just proved service healthy again, so the latency
+      // window full of brownout-era samples is known-stale. Re-warm from
+      // post-recovery panels (cold start admits) instead of letting inflated
+      // forecasts choke admission for another full window — the metastable
+      // loop docs/SERVING.md names.
+      former_.ResetServeLatency();
+    }
     batch_size_hist_.Observe(static_cast<double>(width));
-    metrics_
-        .GetCounter("scec_serve_batches_total",
-                    {{"reason", BatchCloseReasonName(batch.reason)}})
-        .Increment();
+    batches_total_[static_cast<size_t>(batch.reason)]->Increment();
 
     if (options_.spot_verify) SpotVerify(batch, lease.session(), x, y);
 
@@ -444,9 +445,7 @@ class ServeCoordinator {
                   const DeploymentSession<T>& session, const Matrix<T>& x,
                   const Matrix<T>& y) {
     if (!governor_.ShouldVerifyBatch()) {
-      metrics_
-          .GetCounter("scec_serve_verify_total", {{"result", "sampled_out"}})
-          .Increment();
+      verify_sampled_out_.Increment();
       return;
     }
     const size_t width = batch.tickets.size();
@@ -460,8 +459,7 @@ class ServeCoordinator {
           << "serve spot-check mismatch at row " << row << " of ticket "
           << batch.tickets[c].ticket;
     }
-    metrics_.GetCounter("scec_serve_verify_total", {{"result", "checked"}})
-        .Increment();
+    verify_checked_.Increment();
   }
 
   ServeOptions options_;
@@ -490,6 +488,10 @@ class ServeCoordinator {
   obs::Histogram& batch_size_hist_;
   obs::Histogram& queue_wait_hist_;
   obs::Histogram& service_hist_;
+  obs::Counter& verify_checked_;
+  obs::Counter& verify_sampled_out_;
+  // scec_serve_batches_total{reason}, indexed by BatchCloseReason.
+  std::array<obs::Counter*, kNumBatchCloseReasons> batches_total_{};
 };
 
 }  // namespace scec::serve

@@ -2,8 +2,6 @@
 
 #include "serve/deadline.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace scec::serve {
@@ -36,26 +34,6 @@ void DeadlineBudgets::Validate() const {
   SCEC_CHECK_GT(interactive_s, 0.0);
   SCEC_CHECK_GT(standard_s, 0.0);
   SCEC_CHECK_GT(bulk_s, 0.0);
-}
-
-void BatchTimeoutOptions::Validate() const {
-  budgets.Validate();
-  SCEC_CHECK_GE(service_quantile, 0.0);
-  SCEC_CHECK_LE(service_quantile, 1.0);
-  SCEC_CHECK_GT(service_margin, 0.0);
-  SCEC_CHECK_GT(min_close_s, 0.0);
-}
-
-double BatchCloseTimeout(DeadlineClass cls, const BatchTimeoutOptions& options,
-                         const sim::LatencyEstimator& serve_latency) {
-  const double budget = options.budgets.Budget(cls);
-  if (!serve_latency.HasEstimate()) {
-    // Cold start: split the budget evenly between coalescing and serving.
-    return std::max(options.min_close_s, budget * 0.5);
-  }
-  const double service =
-      options.service_margin * serve_latency.Quantile(options.service_quantile);
-  return std::max(options.min_close_s, budget - service);
 }
 
 }  // namespace scec::serve

@@ -2,19 +2,16 @@
 //
 // Deadline classes for the multi-tenant serving tier (docs/SERVING.md).
 //
-// Every submitted query names a class; the batch former coalesces queued
-// queries per (tenant, class) and sizes each class's batch-close timeout
-// from the class's completion budget minus the OBSERVED panel service time
-// (sim/latency_estimator.h — the same observe-then-adapt loop PR 4 uses for
-// device deadlines): when serving is fast there is slack to hold a batch
-// open and coalesce more columns into one MatMulPanel call; when serving
-// slows down, batches close earlier so the budget still holds.
+// Every submitted query names a class. The class's completion budget drives
+// admission feasibility (serve/admission.h), the interactive-first close
+// order within a tenant (serve/batch_former.h) and the per-batch failure
+// outcome the brownout breaker sees (serve/coordinator.h). No class holds a
+// batch open: batches close at the first pump after their oldest query
+// arrives.
 
 #pragma once
 
 #include <cstddef>
-
-#include "sim/latency_estimator.h"
 
 namespace scec::serve {
 
@@ -38,25 +35,5 @@ struct DeadlineBudgets {
   double Budget(DeadlineClass cls) const;
   void Validate() const;
 };
-
-struct BatchTimeoutOptions {
-  DeadlineBudgets budgets;
-  // Headroom multiplier on the observed service-time quantile subtracted
-  // from the budget (the batch must still be SERVED within the budget after
-  // it closes).
-  double service_quantile = 0.99;
-  double service_margin = 1.5;
-  // Close-timeout floor: even a blown budget estimate keeps coalescing for
-  // at least this long (prevents degenerating to batch size 1 under noise).
-  double min_close_s = 1e-4;
-
-  void Validate() const;
-};
-
-// Seconds a (tenant, class) batch may stay open after its oldest query was
-// admitted. Cold start (no service estimate yet) falls back to half the
-// class budget.
-double BatchCloseTimeout(DeadlineClass cls, const BatchTimeoutOptions& options,
-                         const sim::LatencyEstimator& serve_latency);
 
 }  // namespace scec::serve

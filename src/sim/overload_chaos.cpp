@@ -228,7 +228,7 @@ OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
       options);
 
   // --- Replay: open-loop trace over a single virtual server ----------------
-  const serve::DeadlineBudgets budgets = options.batching.timeout.budgets;
+  const serve::DeadlineBudgets budgets = options.batching.budgets;
   struct Tally {
     uint64_t served = 0;
     uint64_t shed = 0;

@@ -111,19 +111,14 @@ TEST(AdmissionController, GlobalQueueLimitRejectsAsQueueFull) {
 TEST(ForecastQueueWait, ColdStartAdmitsAndWarmForecastScalesWithBacklog) {
   AdmissionOptions options;
   options.shed_infeasible = true;
-  BatchTimeoutOptions timeout;
   sim::LatencyEstimator estimator;
 
   // Cold: no estimate, forecast 0, gate admits everything.
-  EXPECT_DOUBLE_EQ(ForecastQueueWait(100, 8, DeadlineClass::kStandard, timeout,
-                                     options, estimator),
-                   0.0);
+  EXPECT_DOUBLE_EQ(ForecastQueueWait(100, 8, options, estimator), 0.0);
 
   for (int i = 0; i < 16; ++i) estimator.Observe(0.01);
-  const double shallow = ForecastQueueWait(0, 8, DeadlineClass::kStandard,
-                                           timeout, options, estimator);
-  const double deep = ForecastQueueWait(64, 8, DeadlineClass::kStandard,
-                                        timeout, options, estimator);
+  const double shallow = ForecastQueueWait(0, 8, options, estimator);
+  const double deep = ForecastQueueWait(64, 8, options, estimator);
   EXPECT_GT(shallow, 0.0);
   // 64 queued ahead at max_batch 8 is 8 extra panels of ~10ms each.
   EXPECT_NEAR(deep - shallow, 8 * 0.01, 1e-9);

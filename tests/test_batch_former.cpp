@@ -63,7 +63,7 @@ TEST(BatchFormer, FullBatchClosesAtMaxBatch) {
     ASSERT_TRUE(
         former.Enqueue(Ticket(i + 1, 0, DeadlineClass::kStandard, 0.0)));
   }
-  // Full batches are due immediately, before any timeout.
+  // A full batch is due at once.
   EXPECT_EQ(former.NextCloseDeadline(),
             -std::numeric_limits<double>::infinity());
   const auto batches = former.Form(0.0);
@@ -73,58 +73,59 @@ TEST(BatchFormer, FullBatchClosesAtMaxBatch) {
   EXPECT_EQ(former.depth(), 0u);
 }
 
-TEST(BatchFormer, DeadlineClosesPartialBatchAfterTimeout) {
+TEST(BatchFormer, PartialBatchClosesAtFirstPumpAfterOldestEnqueue) {
   BatchFormerOptions options;
   options.max_batch = 32;
   BatchFormer former(1, options);
-  ASSERT_TRUE(former.Enqueue(Ticket(1, 0, DeadlineClass::kInteractive, 0.0)));
-  ASSERT_TRUE(
-      former.Enqueue(Ticket(2, 0, DeadlineClass::kInteractive, 0.001)));
-
-  // Cold start: interactive closes after budget/2 = 2.5 ms.
-  EXPECT_TRUE(former.Form(0.002).empty());
-  const auto batches = former.Form(0.0026);
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].reason, BatchCloseReason::kDeadline);
-  EXPECT_EQ(batches[0].tickets.size(), 2u);
-}
-
-TEST(BatchFormer, ObservedServiceTimeShortensCloseTimeout) {
-  BatchFormerOptions options;
-  options.max_batch = 32;
-  options.timeout.budgets.standard_s = 0.050;
-  options.timeout.service_margin = 1.0;
-  BatchFormer former(1, options);
-
-  // 40 ms observed service: close timeout becomes 50 - 40 = 10 ms, far
-  // below the 25 ms cold-start half-budget.
-  for (int i = 0; i < 64; ++i) former.ObserveServeSeconds(0.040);
-  ASSERT_TRUE(former.Enqueue(Ticket(1, 0, DeadlineClass::kStandard, 0.0)));
-  EXPECT_TRUE(former.Form(0.009).empty());
-  EXPECT_EQ(former.Form(0.011).size(), 1u);
-}
-
-TEST(BatchFormer, RushModeClosesQueuedBatchesImmediately) {
-  BatchFormerOptions options;
-  options.max_batch = 32;
-  BatchFormer former(1, options);
-  // Poison the estimator the way a fleet brownout would: 200 ms observed
-  // service puts the bulk close timeout at 500 − 1.5·200 = 200 ms.
+  // A slow observed service holds nothing open: the estimator only feeds
+  // admission's forecast.
   for (int i = 0; i < 64; ++i) former.ObserveServeSeconds(0.2);
   ASSERT_TRUE(former.Enqueue(Ticket(1, 0, DeadlineClass::kBulk, 1.0)));
-  EXPECT_TRUE(former.Form(1.01).empty()) << "not due for ~200 ms normally";
-
-  // Rush (breaker not closed): the batch is due at its enqueue time.
-  former.set_rush(true);
+  ASSERT_TRUE(former.Enqueue(Ticket(2, 0, DeadlineClass::kBulk, 1.0005)));
+  ASSERT_TRUE(
+      former.Enqueue(Ticket(3, 0, DeadlineClass::kInteractive, 1.0008)));
   EXPECT_DOUBLE_EQ(former.NextCloseDeadline(), 1.0);
-  const auto rushed = former.Form(1.01);
-  ASSERT_EQ(rushed.size(), 1u);
-  EXPECT_EQ(rushed[0].reason, BatchCloseReason::kDeadline);
 
-  // Back to normal: timeouts apply again.
-  former.set_rush(false);
-  ASSERT_TRUE(former.Enqueue(Ticket(2, 0, DeadlineClass::kBulk, 2.0)));
-  EXPECT_TRUE(former.Form(2.01).empty());
+  // Never before the oldest query arrived.
+  EXPECT_TRUE(former.Form(0.999).empty());
+  EXPECT_EQ(former.depth(), 3u);
+
+  // Pumping at the advertised instant closes the bulk queue and leaves the
+  // interactive query, which has not arrived yet on this clock.
+  const auto at_due = former.Form(former.NextCloseDeadline());
+  ASSERT_EQ(at_due.size(), 1u);
+  EXPECT_EQ(at_due[0].cls, DeadlineClass::kBulk);
+  EXPECT_EQ(at_due[0].reason, BatchCloseReason::kDeadline);
+  EXPECT_EQ(at_due[0].tickets.size(), 2u);
+  EXPECT_DOUBLE_EQ(former.NextCloseDeadline(), 1.0008);
+
+  // The first pump after it closes it, interactive before bulk.
+  ASSERT_TRUE(former.Enqueue(Ticket(4, 0, DeadlineClass::kBulk, 1.0009)));
+  const auto later = former.Form(1.002);
+  ASSERT_EQ(later.size(), 2u);
+  EXPECT_EQ(later[0].cls, DeadlineClass::kInteractive);
+  EXPECT_EQ(later[1].cls, DeadlineClass::kBulk);
+  EXPECT_EQ(former.depth(), 0u);
+  EXPECT_EQ(former.NextCloseDeadline(),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(BatchFormer, DueBacklogClosesInChunksOfMaxBatch) {
+  BatchFormerOptions options;
+  options.max_batch = 4;
+  options.per_tenant_queue_limit = 16;
+  BatchFormer former(1, options);
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(former.Enqueue(Ticket(i + 1, 0, DeadlineClass::kStandard,
+                                      0.001 * static_cast<double>(i))));
+  }
+  const auto batches = former.Form(0.01);
+  ASSERT_EQ(batches.size(), 3u);
+  EXPECT_EQ(batches[0].reason, BatchCloseReason::kFull);
+  EXPECT_EQ(batches[1].reason, BatchCloseReason::kFull);
+  EXPECT_EQ(batches[2].reason, BatchCloseReason::kDeadline);
+  EXPECT_EQ(batches[2].tickets.size(), 2u);
+  EXPECT_EQ(batches[2].tickets[0].ticket, 9u);
 }
 
 TEST(BatchFormer, ResetServeLatencyReturnsToColdStart) {

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -47,10 +49,51 @@ ServeCoordinator<double>::DeployFn DeployFnFor(
   };
 }
 
-std::vector<double> Column(const Matrix<double>& a, size_t l, uint64_t seed) {
+std::vector<double> Column(size_t l, uint64_t seed) {
   ChaCha20Rng rng(seed);
   return RandomVector<double>(l, rng);
 }
+
+double PanelService(size_t width) {
+  return 1e-3 + 5e-4 * static_cast<double>(width);
+}
+
+// One virtual server on the decision clock, driven the way the load bench
+// and the overload harness drive the coordinator: a due batch runs at
+// max(due, free_at), and a panel of width w holds the server for
+// PanelService(w). Queries that arrive while it is busy wait for free_at.
+struct VirtualServer {
+  explicit VirtualServer(ServeCoordinator<double>& c) : coordinator(c) {}
+
+  ServeCoordinator<double>& coordinator;
+  double free_at = 0.0;
+  std::vector<ServeCoordinator<double>::Completion> done;
+  std::vector<double> finish_s;  // per completion: its panel's end
+
+  // Runs every batch the server reaches by `horizon`.
+  void PumpUntil(double horizon) {
+    while (true) {
+      const double next = coordinator.NextCloseDeadline();
+      if (!(next < std::numeric_limits<double>::infinity())) return;
+      const double at = std::max(next, free_at);
+      if (at > horizon) return;
+      auto completions = coordinator.Pump(at);
+      for (size_t i = 0; i < completions.size();) {
+        const size_t width = completions[i].batch_size;
+        free_at = std::max(free_at, at) + PanelService(width);
+        for (size_t k = 0; k < width; ++k, ++i) {
+          finish_s.push_back(free_at);
+          done.push_back(std::move(completions[i]));
+        }
+      }
+    }
+  }
+
+  bool Submit(const std::vector<double>& x, DeadlineClass cls, double at) {
+    PumpUntil(at);
+    return coordinator.Submit(0, cls, x, at).admitted();
+  }
+};
 
 TEST(ServeCoordinator, CoalescedAnswersBitIdenticalToPerQueryPath) {
   std::map<uint64_t, World> worlds;
@@ -75,9 +118,8 @@ TEST(ServeCoordinator, CoalescedAnswersBitIdenticalToPerQueryPath) {
     double now = 0.0;
     for (int i = 0; i < 40; ++i) {
       const uint64_t tenant = static_cast<uint64_t>(i % 2);
-      const auto x =
-          Column(worlds.at(tenant).a, worlds.at(tenant).problem.l,
-                 1000 + static_cast<uint64_t>(i));
+      const auto x = Column(worlds.at(tenant).problem.l,
+                            1000 + static_cast<uint64_t>(i));
       const auto result = coordinator.Submit(
           tenant, static_cast<DeadlineClass>(i % 3), x, now);
       ASSERT_TRUE(result.admitted());
@@ -114,9 +156,8 @@ TEST(ServeCoordinator, BatchGroupingsIdenticalAcrossThreadCounts) {
     obs::MetricsRegistry metrics;
     ServeOptions options;
     options.batching.max_batch = 4;
-    // Groupings are deterministic only under a virtual service model: the
-    // wall-clock panel time would feed the batch-close timeout estimator
-    // and make groupings follow host load.
+    // A virtual service model keeps every decision that reads a service
+    // time (admission forecast, breaker) off the host's wall clock.
     options.service_model = [](size_t width) {
       return 1e-3 + 5e-4 * static_cast<double>(width);
     };
@@ -128,7 +169,7 @@ TEST(ServeCoordinator, BatchGroupingsIdenticalAcrossThreadCounts) {
     double now = 0.0;
     for (int i = 0; i < 60; ++i) {
       const uint64_t tenant = static_cast<uint64_t>((i * 5 + i / 4) % 3);
-      const auto x = Column(worlds.at(tenant).a, worlds.at(tenant).problem.l,
+      const auto x = Column(worlds.at(tenant).problem.l,
                             2000 + static_cast<uint64_t>(i));
       ASSERT_TRUE(coordinator
                       .Submit(tenant, static_cast<DeadlineClass>(i % 3), x,
@@ -156,6 +197,101 @@ TEST(ServeCoordinator, BatchGroupingsIdenticalAcrossThreadCounts) {
   }
 }
 
+ServeOptions VirtualOptions(obs::MetricsRegistry* metrics) {
+  ServeOptions options;
+  options.batching.max_batch = 8;
+  options.batching.per_tenant_queue_limit = 64;
+  options.service_model = PanelService;
+  options.metrics = metrics;
+  return options;
+}
+
+TEST(ServeCoordinator, SparseArrivalsServeAloneWithoutWaiting) {
+  std::map<uint64_t, World> worlds;
+  worlds.emplace(0, World(0));
+  obs::MetricsRegistry metrics;
+  ServeCoordinator<double> coordinator(1, DeployFnFor(worlds),
+                                       VirtualOptions(&metrics));
+  VirtualServer server(coordinator);
+
+  // 10 ms apart, far wider than one 1.5 ms panel: the server is idle at
+  // every arrival, so each query is its own panel and waits for nothing.
+  const auto x = Column(worlds.at(0).problem.l, 7000);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(server.Submit(x, static_cast<DeadlineClass>(i % 3),
+                              0.01 * static_cast<double>(i)));
+  }
+  server.PumpUntil(std::numeric_limits<double>::infinity());
+  ASSERT_EQ(server.done.size(), 20u);
+  for (size_t i = 0; i < server.done.size(); ++i) {
+    const auto& done = server.done[i];
+    EXPECT_EQ(done.batch_size, 1u);
+    EXPECT_EQ(done.complete_s, done.enqueue_s);
+    EXPECT_NEAR(server.finish_s[i] - done.enqueue_s, PanelService(1), 1e-12);
+  }
+  EXPECT_EQ(metrics
+                .GetCounter("scec_serve_batches_total",
+                            {{"reason", "deadline"}})
+                .value(),
+            20u);
+}
+
+TEST(ServeCoordinator, BurstWhileBusyComesOutAsOnePanelAtFreeAt) {
+  std::map<uint64_t, World> worlds;
+  worlds.emplace(0, World(0));
+  obs::MetricsRegistry metrics;
+  ServeCoordinator<double> coordinator(1, DeployFnFor(worlds),
+                                       VirtualOptions(&metrics));
+  VirtualServer server(coordinator);
+
+  const auto x = Column(worlds.at(0).problem.l, 7100);
+  ASSERT_TRUE(server.Submit(x, DeadlineClass::kStandard, 0.0));
+  // Five more land while the first panel runs (it ends at 1.5 ms).
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(server.Submit(x, DeadlineClass::kStandard,
+                              0.0002 * static_cast<double>(i)));
+  }
+  server.PumpUntil(std::numeric_limits<double>::infinity());
+  ASSERT_EQ(server.done.size(), 6u);
+  EXPECT_EQ(server.done[0].batch_size, 1u);
+  EXPECT_EQ(server.done[0].complete_s, 0.0);
+  for (size_t i = 1; i < 6; ++i) {
+    EXPECT_EQ(server.done[i].batch_size, 5u);
+    EXPECT_DOUBLE_EQ(server.done[i].complete_s, PanelService(1));
+    EXPECT_EQ(server.done[i].result, server.done[0].result);
+  }
+}
+
+TEST(ServeCoordinator, SustainedOverloadWidensPanelsToMaxBatch) {
+  std::map<uint64_t, World> worlds;
+  worlds.emplace(0, World(0));
+  obs::MetricsRegistry metrics;
+  const ServeOptions options = VirtualOptions(&metrics);
+  ServeCoordinator<double> coordinator(1, DeployFnFor(worlds), options);
+  VirtualServer server(coordinator);
+
+  // 4000 q/s against 1600 q/s of full-width capacity (8 columns / 5 ms).
+  const auto x = Column(worlds.at(0).problem.l, 7200);
+  size_t rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    if (!server.Submit(x, DeadlineClass::kBulk,
+                       0.00025 * static_cast<double>(i))) {
+      ++rejected;
+    }
+  }
+  server.PumpUntil(std::numeric_limits<double>::infinity());
+  EXPECT_GT(rejected, 0u) << "the load must exceed capacity";
+  ASSERT_FALSE(server.done.empty());
+  double panels = 0.0;
+  for (const auto& done : server.done) {
+    panels += 1.0 / static_cast<double>(done.batch_size);
+  }
+  const double mean_width = static_cast<double>(server.done.size()) / panels;
+  // The rare partial panel is the tail a pump leaves behind a full queue.
+  EXPECT_GE(mean_width,
+            0.95 * static_cast<double>(options.batching.max_batch));
+}
+
 TEST(ServeCoordinator, AdmissionRejectsBeyondQueueLimit) {
   std::map<uint64_t, World> worlds;
   worlds.emplace(0, World(0));
@@ -166,7 +302,7 @@ TEST(ServeCoordinator, AdmissionRejectsBeyondQueueLimit) {
   options.metrics = &metrics;
   ServeCoordinator<double> coordinator(1, DeployFnFor(worlds), options);
 
-  const auto x = Column(worlds.at(0).a, worlds.at(0).problem.l, 3000);
+  const auto x = Column(worlds.at(0).problem.l, 3000);
   for (int i = 0; i < 4; ++i) {
     // Bulk queries never hit max_batch=4's FULL close between submissions.
     ASSERT_TRUE(
@@ -184,7 +320,7 @@ TEST(ServeCoordinator, AdmissionRejectsBeyondQueueLimit) {
 TEST(ServeCoordinator, TypedRejectReasonsSurfaceStatusAndMetrics) {
   std::map<uint64_t, World> worlds;
   worlds.emplace(0, World(0));
-  const auto x = Column(worlds.at(0).a, worlds.at(0).problem.l, 5000);
+  const auto x = Column(worlds.at(0).problem.l, 5000);
 
   // Quota: one-token bucket, two submissions at the same instant.
   {
@@ -306,7 +442,7 @@ TEST(ServeCoordinator, LadderShedsQueuedBallastAsExplicitCompletions) {
   // only on the NEXT submission's update), then two standard fill the queue.
   std::map<uint64_t, std::vector<double>> expected;
   const auto submit = [&](DeadlineClass cls, uint64_t seed, double now) {
-    const auto x = Column(worlds.at(0).a, worlds.at(0).problem.l, seed);
+    const auto x = Column(worlds.at(0).problem.l, seed);
     const auto result = coordinator.Submit(0, cls, x, now);
     if (result.admitted()) expected[result.ticket] = reference.at(0).Serve(x);
     return result;
@@ -387,7 +523,7 @@ TEST(ServeCoordinator, ReputationSteersPlacementAwayFromQuarantined) {
   options.metrics = &metrics;
   ServeCoordinator<double> coordinator(1, DeployFnFor(worlds), options);
 
-  const auto x = Column(worlds.at(0).a, worlds.at(0).problem.l, 4000);
+  const auto x = Column(worlds.at(0).problem.l, 4000);
   std::vector<size_t> lanes;
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(
